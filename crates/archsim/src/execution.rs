@@ -6,6 +6,8 @@
 //! scheduler (kernelsim) decides *who* runs *where* for *how long*, and
 //! this module decides what the hardware would have observed.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use serde::{Deserialize, Serialize};
 
 use crate::core_type::CoreConfig;
@@ -70,8 +72,11 @@ pub fn run_slice(
 /// runs ~14 times per synthesized slice; one add plus a truncating
 /// cast keeps slice synthesis out of the hot-loop profile.
 #[inline]
+#[expect(
+    clippy::as_conversions,
+    reason = "the sanctioned f64->u64 rounding helper; inputs are non-negative counts"
+)]
 fn round_count(x: f64) -> u64 {
-    // smartlint: allow(numeric-cast, "the sanctioned f64->u64 rounding helper; inputs are non-negative counts")
     (x + 0.5) as u64
 }
 
@@ -79,8 +84,11 @@ fn round_count(x: f64) -> u64 {
 /// [`round_count`] for deadline-style values where rounding down would
 /// report completion before the last instruction retires.
 #[inline]
+#[expect(
+    clippy::as_conversions,
+    reason = "the sanctioned f64->u64 ceiling helper; inputs are non-negative durations"
+)]
 fn ceil_count(x: f64) -> u64 {
-    // smartlint: allow(numeric-cast, "the sanctioned f64->u64 ceiling helper; inputs are non-negative durations")
     x.ceil() as u64
 }
 
@@ -161,8 +169,11 @@ pub fn time_to_complete_ns_with(est: &PipelineEstimate, freq_hz: f64, instructio
 /// completion detection is a single division per slice; keeping the
 /// expression here guarantees it stays bit-identical to the reference
 /// path.
+#[expect(
+    clippy::as_conversions,
+    reason = "sentinel near-u64::MAX budgets exceed the exact f64 range; a completion-time upper bound tolerates that rounding"
+)]
 pub fn time_to_complete_ns_at(ips: f64, instructions: u64) -> u64 {
-    // smartlint: allow(numeric-cast, "sentinel near-u64::MAX budgets exceed the exact f64 range; a completion-time upper bound tolerates that rounding")
     ceil_count(instructions as f64 / ips * 1e9)
 }
 

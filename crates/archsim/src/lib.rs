@@ -40,9 +40,15 @@
 //! - [`sensing`]: the counter/power sensor bank the OS samples
 //! - [`faults`]: deterministic seeded sensor fault injection
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod branch;
 pub mod cache;

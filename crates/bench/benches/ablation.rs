@@ -8,6 +8,8 @@
 //!    prediction cost allocation quality?) — reported as a bench so the
 //!    quality numbers print alongside the timing.
 
+#![expect(missing_docs, reason = "criterion_group! emits an undocumented pub fn")]
+
 use archsim::{estimate, CoreTypeId, Platform};
 use criterion::{criterion_group, criterion_main, Criterion};
 use kernelsim::TaskId;

@@ -5,6 +5,8 @@
 //! slice); the `uncached` function doubles as a regression canary for
 //! the rest of the scheduling loop (wake heap, phase cursors).
 
+#![expect(missing_docs, reason = "criterion_group! emits an undocumented pub fn")]
+
 use archsim::Platform;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use kernelsim::{NullBalancer, System, SystemConfig};

@@ -2,6 +2,8 @@
 //! phase on the quad-core platform with 8 threads, measured on real
 //! epoch reports produced by the kernel simulator.
 
+#![expect(missing_docs, reason = "criterion_group! emits an undocumented pub fn")]
+
 use archsim::Platform;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use kernelsim::{NullBalancer, System, SystemConfig};

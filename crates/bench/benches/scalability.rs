@@ -2,6 +2,8 @@
 //! scales from 2 to 128 cores (threads = 2× cores), using the
 //! Fig. 8(a) iteration budgets.
 
+#![expect(missing_docs, reason = "criterion_group! emits an undocumented pub fn")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smartbalance::{anneal, known_optimum_case, AnnealParams, Goal, Objective};
 

@@ -3,6 +3,8 @@
 //! model. These bound how much evaluation the harness can afford and
 //! document the substrate's own overhead (not a paper figure).
 
+#![expect(missing_docs, reason = "criterion_group! emits an undocumented pub fn")]
+
 use archsim::{run_slice, CoreConfig, Platform, WorkloadCharacteristics};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kernelsim::{LoadBalancer, System, SystemConfig};

@@ -15,9 +15,6 @@
 //! | `fig7`   | Fig. 7: phase overheads and scalability |
 //! | `fig8`   | Fig. 8: iteration budgets and distance-to-optimal |
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 use std::time::Instant;
 
 use archsim::Platform;

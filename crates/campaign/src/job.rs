@@ -101,9 +101,11 @@ pub fn job_id(
     format!("{:016x}", fnv1a64(canonical.as_bytes()))
 }
 
-#[allow(clippy::expect_used)]
+#[expect(
+    clippy::expect_used,
+    reason = "serializing in-memory plain-data structs cannot fail"
+)]
 fn canonical_json<T: Serialize>(value: &T) -> String {
-    // smartlint: allow(panic, "serializing in-memory plain-data structs cannot fail")
     serde_json::to_string(value).expect("plain data serializes")
 }
 

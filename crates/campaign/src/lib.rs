@@ -62,9 +62,15 @@
 //! assert!(report.is_complete());
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod flight;
 pub mod job;

@@ -3,6 +3,8 @@
 //! the full `S(k)` / `P(k)` characterization matrices the optimizer
 //! consumes (paper Section 4.2, Fig. 2 steps 2–3).
 
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use archsim::{CoreTypeId, Platform};
 use mcpat::CorePowerModel;
 

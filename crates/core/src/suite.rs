@@ -535,7 +535,6 @@ impl ExperimentSuite {
         self.run_pool().0
     }
 
-    #[allow(clippy::expect_used)] // slot-fill invariant justified inline
     fn run_pool(&self) -> (Vec<JobOutcome>, usize, f64) {
         // smartlint: allow(nondeterminism, "suite wall-clock metadata only; job results come from seeded execute()")
         let start = Instant::now();
@@ -587,11 +586,14 @@ impl ExperimentSuite {
             }
         });
 
+        #[expect(
+            clippy::expect_used,
+            reason = "the atomic job counter hands every index below count to exactly one worker, so each slot is filled"
+        )]
         let outcomes: Vec<JobOutcome> = slots
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
             .into_iter()
-            // smartlint: allow(panic, "the atomic job counter hands every index below count to exactly one worker, so each slot is filled")
             .map(|slot| slot.expect("every job index was executed"))
             .collect();
         (outcomes, workers, start.elapsed().as_secs_f64())
@@ -610,8 +612,11 @@ impl ExperimentSuite {
         for outcome in outcomes {
             match outcome {
                 JobOutcome::Completed(result) => jobs.push(*result),
+                #[expect(
+                    clippy::panic,
+                    reason = "run() documents abort-on-failure semantics; failure-tolerant callers use run_outcomes"
+                )]
                 JobOutcome::Failed(failure) => {
-                    // smartlint: allow(panic, "run() documents abort-on-failure semantics; failure-tolerant callers use run_outcomes")
                     panic!(
                         "suite job {} ({} under {:?}) panicked: {}",
                         failure.job_index, failure.experiment, failure.policy, failure.panic
@@ -633,7 +638,10 @@ impl ExperimentSuite {
 /// `workers` threads and returns the results in index order — the
 /// suite's work-distribution core, reusable for non-experiment sweeps
 /// (predictor-error grids, annealer-quality scans, ...).
-#[allow(clippy::expect_used)] // slot-fill invariant justified inline
+#[expect(
+    clippy::expect_used,
+    reason = "the atomic index counter hands every index below count to exactly one worker, so each slot is filled"
+)]
 pub fn parallel_indexed<T, F>(count: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -664,7 +672,6 @@ where
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner)
         .into_iter()
-        // smartlint: allow(panic, "the atomic index counter hands every index below count to exactly one worker, so each slot is filled")
         .map(|slot| slot.expect("every index was executed"))
         .collect()
 }

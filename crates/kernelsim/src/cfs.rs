@@ -79,7 +79,10 @@ impl CfsRunQueue {
         assert!(weight > 0, "task weight must be positive");
         let v = vruntime_ns.max(self.min_vruntime);
         match self.queue.binary_search(&(v, task)) {
-            // smartlint: allow(panic, "documented contract: double-enqueue is a scheduler bug, not an input condition — continuing would corrupt total_weight")
+            #[expect(
+                clippy::panic,
+                reason = "documented contract: double-enqueue is a scheduler bug, not an input condition — continuing would corrupt total_weight"
+            )]
             Ok(_) => panic!("task {task} already on the run queue"),
             Err(pos) => self.queue.insert(pos, (v, task)),
         }

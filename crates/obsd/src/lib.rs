@@ -27,8 +27,15 @@
 //! The producer side — snapshot assembly — lives in `telemetry::live`
 //! and stays fully deterministic.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -247,14 +254,16 @@ mod tests {
     }
 
     fn publish_sample(cell: &SnapshotCell) {
-        let mut snapshot = ObsSnapshot::default();
-        snapshot.progress = CampaignProgress {
-            cells_total: 6,
-            cells_completed: 2,
-            cells_pending: 4,
-            wall_s_sum: 1.0,
-            wall_cells: 2,
-            ..CampaignProgress::default()
+        let mut snapshot = ObsSnapshot {
+            progress: CampaignProgress {
+                cells_total: 6,
+                cells_completed: 2,
+                cells_pending: 4,
+                wall_s_sum: 1.0,
+                wall_cells: 2,
+                ..CampaignProgress::default()
+            },
+            ..ObsSnapshot::default()
         };
         snapshot.progress.finalize_eta();
         snapshot.prometheus = "sb_campaign_completed_total 2\n".to_string();

@@ -1,10 +1,10 @@
-// Fixture: A0 violations. Analyzed as crates/archsim/src/pipeline.rs.
+// Fixture: A0 violations. Analyzed as crates/mcpat/src/model.rs.
 // smartlint annotations that do not parse must be findings themselves,
 // or a typo silently disables enforcement.
 
-// smartlint: allow(panic)
-pub fn missing_reason(x: Option<u64>) -> u64 {
-    x.unwrap_or(0)
+// smartlint: allow(float-width)
+pub fn missing_reason(x: f64) -> f64 {
+    x
 }
 
 // smartlint: allow(not-a-rule, "the key does not exist")

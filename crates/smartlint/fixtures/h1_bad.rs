@@ -1,5 +1,9 @@
-//! Fixture: H1 violation. Analyzed as crates/archsim/src/lib.rs.
-//! A crate root with neither `#![forbid(unsafe_code)]` nor
-//! `#![deny(missing_docs)]`.
+//! Fixture: H1 violations, compiled by rustc as a crate root with the
+//! workspace lint levels (`-D missing_docs -F unsafe_code`).
 
 pub mod something {}
+
+/// Documented, but reads through a raw pointer.
+pub fn read(p: &u8) -> u8 {
+    unsafe { *(p as *const u8) }
+}

@@ -1,5 +1,6 @@
-// Fixture: N1 violations. Analyzed as crates/archsim/src/counters.rs.
-// Bare float->int and int->float casts in accounting code.
+// Fixture: N1 violations, compiled by clippy-driver with
+// `clippy::as_conversions` denied as in the accounting modules. Bare
+// float->int and int->float casts.
 pub fn lossy_total(x: f64) -> u64 {
     x as u64
 }

@@ -1,9 +1,13 @@
-// Fixture: N1-clean. Analyzed as crates/archsim/src/counters.rs.
-// The sanctioned helper carries the single annotated cast; everything
-// else goes through it. Tests may cast freely in assertions.
+// Fixture: N1-clean, compiled by clippy-driver with
+// `clippy::as_conversions` denied as in the accounting modules. The
+// sanctioned helper carries the single justified cast; everything else
+// goes through it.
+#[expect(
+    clippy::as_conversions,
+    reason = "the sanctioned u64->f64 crossing; exactness debug-asserted above"
+)]
 pub fn count_to_f64(n: u64) -> f64 {
     debug_assert!(n <= (1u64 << 53));
-    // smartlint: allow(numeric-cast, "the sanctioned u64->f64 crossing; exactness debug-asserted above")
     n as f64
 }
 
@@ -12,13 +16,5 @@ pub fn ratio(num: u64, den: u64) -> f64 {
         0.0
     } else {
         count_to_f64(num) / count_to_f64(den)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn assertions_cast_freely() {
-        assert_eq!((1.9_f64) as u64, 1);
     }
 }

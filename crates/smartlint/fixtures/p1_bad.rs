@@ -1,5 +1,5 @@
-// Fixture: P1 violations. Analyzed as crates/archsim/src/pipeline.rs.
-// Unjustified panics in library code.
+// Fixture: P1 violations, compiled by clippy-driver with the library
+// roots' panic-hygiene lints denied. Unjustified panics in library code.
 pub fn first(xs: &[u64]) -> u64 {
     *xs.first().unwrap()
 }

@@ -1,21 +1,20 @@
-//! smartlint CLI: scan the workspace, print findings, emit JSON/SARIF,
-//! maintain the baseline and gate CI.
+//! smartlint CLI: scan the workspace, print findings, emit JSON/SARIF
+//! and gate CI.
 //!
 //! ```text
-//! smartlint [--root DIR] [--baseline FILE] [--deny] [--json FILE]
-//!           [--format text|json|sarif] [--out FILE]
-//!           [--write-baseline] [--prune-baseline] [--list-rules]
+//! smartlint [--root DIR] [--deny] [--json FILE]
+//!           [--format text|json|sarif] [--out FILE] [--list-rules]
 //! ```
 //!
-//! Exit codes: `0` clean (or warn-only), `1` non-baselined findings or
-//! stale baseline entries under `--deny`, `2` usage or I/O error.
+//! Exit codes: `0` clean (or warn-only), `1` any finding under
+//! `--deny`, `2` usage or I/O error.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use smartlint::output::{render_json, render_sarif, Report, REPORT_VERSION};
-use smartlint::{analyze_workspace, Analysis, Baseline, RULES};
+use smartlint::output::{render_json, render_sarif, Report};
+use smartlint::{analyze_workspace, Analysis, RULES};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -26,26 +25,20 @@ enum Format {
 
 struct Options {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     deny: bool,
     json: Option<PathBuf>,
     format: Format,
     out: Option<PathBuf>,
-    write_baseline: bool,
-    prune_baseline: bool,
     list_rules: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         root: None,
-        baseline: None,
         deny: false,
         json: None,
         format: Format::Text,
         out: None,
-        write_baseline: false,
-        prune_baseline: false,
         list_rules: false,
     };
     let mut it = args.iter();
@@ -54,11 +47,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--root" => {
                 opts.root = Some(PathBuf::from(
                     it.next().ok_or("--root requires a directory")?,
-                ))
-            }
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(
-                    it.next().ok_or("--baseline requires a file")?,
                 ))
             }
             "--json" => opts.json = Some(PathBuf::from(it.next().ok_or("--json requires a file")?)),
@@ -76,16 +64,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--out" => opts.out = Some(PathBuf::from(it.next().ok_or("--out requires a file")?)),
             "--deny" => opts.deny = true,
-            "--write-baseline" => opts.write_baseline = true,
-            "--prune-baseline" => opts.prune_baseline = true,
             "--list-rules" => opts.list_rules = true,
             "--help" | "-h" => {
-                return Err(
-                    "usage: smartlint [--root DIR] [--baseline FILE] [--deny] [--json FILE] \
-                     [--format text|json|sarif] [--out FILE] [--write-baseline] \
-                     [--prune-baseline] [--list-rules]"
-                        .to_string(),
-                )
+                return Err("usage: smartlint [--root DIR] [--deny] [--json FILE] \
+                     [--format text|json|sarif] [--out FILE] [--list-rules]"
+                    .to_string())
             }
             other => return Err(format!("unknown argument {other:?} (try --help)")),
         }
@@ -110,18 +93,6 @@ fn find_root() -> Result<PathBuf, String> {
     }
 }
 
-fn build_report(analysis: &Analysis) -> Report {
-    Report {
-        version: REPORT_VERSION,
-        files_scanned: analysis.files_scanned,
-        roots: analysis.scope.roots.clone(),
-        new_count: analysis.new_findings().count(),
-        baselined_count: analysis.findings.iter().filter(|f| f.baselined).count(),
-        stale_baseline: analysis.stale_baseline.clone(),
-        findings: analysis.findings.clone(),
-    }
-}
-
 fn run() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = parse_args(&args)?;
@@ -137,59 +108,13 @@ fn run() -> Result<ExitCode, String> {
         Some(r) => r.clone(),
         None => find_root()?,
     };
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("smartlint.baseline.json"));
-    let baseline = match fs::read_to_string(&baseline_path) {
-        Ok(text) => Baseline::parse(&text)?,
-        Err(_) => Baseline::default(),
-    };
-
-    let analysis = analyze_workspace(&root, &baseline)?;
-
-    if opts.write_baseline {
-        let fresh = Baseline::from_findings(&analysis.findings);
-        fs::write(&baseline_path, fresh.to_json()? + "\n")
-            .map_err(|e| format!("write {}: {e}", baseline_path.display()))?;
-        println!(
-            "smartlint: wrote {} entries to {}",
-            fresh.entries.len(),
-            baseline_path.display()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    if opts.prune_baseline {
-        // Keep exactly the entries that still match a finding: rebuild
-        // from the baselined findings, dropping the stale remainder.
-        let still_matched: Vec<_> = analysis
-            .findings
-            .iter()
-            .filter(|f| f.baselined)
-            .cloned()
-            .collect();
-        let pruned = Baseline::from_findings(&still_matched);
-        fs::write(&baseline_path, pruned.to_json()? + "\n")
-            .map_err(|e| format!("write {}: {e}", baseline_path.display()))?;
-        println!(
-            "smartlint: pruned {} stale entr{}; {} kept in {}",
-            analysis.stale_baseline.len(),
-            if analysis.stale_baseline.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            pruned.entries.len(),
-            baseline_path.display()
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
+    let analysis = analyze_workspace(&root)?;
+    let report = Report::from_analysis(&analysis);
 
     let rendered = match opts.format {
         Format::Text => None,
-        Format::Json => Some(render_json(&build_report(&analysis))),
-        Format::Sarif => Some(render_sarif(&build_report(&analysis))),
+        Format::Json => Some(render_json(&report)),
+        Format::Sarif => Some(render_sarif(&report)),
     };
     match (&rendered, &opts.out) {
         (Some(text), Some(path)) => {
@@ -203,37 +128,23 @@ fn run() -> Result<ExitCode, String> {
     // `--json FILE` predates `--format`; it always writes the JSON
     // report to FILE regardless of the display format.
     if let Some(json_path) = &opts.json {
-        fs::write(json_path, render_json(&build_report(&analysis)))
+        fs::write(json_path, render_json(&report))
             .map_err(|e| format!("write {}: {e}", json_path.display()))?;
     }
 
-    if opts.deny {
-        let new_count = analysis.new_findings().count();
-        let stale = analysis.stale_baseline.len();
-        if new_count > 0 || stale > 0 {
-            if new_count > 0 {
-                eprintln!("smartlint: {new_count} non-baselined finding(s) — failing (--deny)");
-            }
-            if stale > 0 {
-                eprintln!(
-                    "smartlint: {stale} stale baseline entr{} — run --prune-baseline and \
-                     commit the result (--deny)",
-                    if stale == 1 { "y" } else { "ies" }
-                );
-            }
-            return Ok(ExitCode::FAILURE);
-        }
+    if opts.deny && !analysis.findings.is_empty() {
+        eprintln!(
+            "smartlint: {} finding(s) — failing (--deny)",
+            analysis.findings.len()
+        );
+        return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)
 }
 
 fn print_findings(analysis: &Analysis) {
     for f in &analysis.findings {
-        let tag = if f.baselined { " (baselined)" } else { "" };
-        println!(
-            "{}: {}:{}{}\n    {}",
-            f.rule, f.file, f.line, tag, f.message
-        );
+        println!("{}: {}:{}\n    {}", f.rule, f.file, f.line, f.message);
         if !f.excerpt.is_empty() {
             println!("    | {}", f.excerpt);
         }
@@ -244,26 +155,11 @@ fn print_findings(analysis: &Analysis) {
             }
         }
     }
-    for e in &analysis.stale_baseline {
-        println!(
-            "stale baseline entry ({} in {}): no longer matches — remove it\n    | {}",
-            e.rule, e.file, e.excerpt
-        );
-    }
-    let new_count = analysis.new_findings().count();
     println!(
-        "smartlint: {} file(s), {} root(s), {} finding(s) ({} new, {} baselined), {} stale baseline entr{}",
+        "smartlint: {} file(s), {} root(s), {} finding(s)",
         analysis.files_scanned,
         analysis.scope.roots.len(),
-        analysis.findings.len(),
-        new_count,
-        analysis.findings.len() - new_count,
-        analysis.stale_baseline.len(),
-        if analysis.stale_baseline.len() == 1 {
-            "y"
-        } else {
-            "ies"
-        }
+        analysis.findings.len()
     );
 }
 

@@ -10,12 +10,13 @@
 
 use serde::{Serialize, Value};
 
-use crate::baseline::BaselineEntry;
 use crate::rules::{Finding, RULES};
+use crate::Analysis;
 
 /// The versioned JSON report (`--format json` / `--json FILE`).
 /// Version 2 added the derived-scope roots and per-finding taint
-/// traces.
+/// traces; version 3 dropped the baseline fields (`baselined_count`,
+/// `stale_baseline`).
 #[derive(Debug, Serialize)]
 pub struct Report {
     /// Report schema version.
@@ -24,18 +25,27 @@ pub struct Report {
     pub files_scanned: usize,
     /// The derived simulation roots (`path:line [Type::]fn`), sorted.
     pub roots: Vec<String>,
-    /// Count of findings not covered by the baseline.
+    /// Count of findings — what `--deny` fails on.
     pub new_count: usize,
-    /// Count of findings covered by the baseline.
-    pub baselined_count: usize,
-    /// Baseline entries that matched nothing (candidates for pruning).
-    pub stale_baseline: Vec<BaselineEntry>,
-    /// Every finding, baselined or not.
+    /// Every finding.
     pub findings: Vec<Finding>,
 }
 
 /// Current JSON report schema version.
-pub const REPORT_VERSION: u32 = 2;
+pub const REPORT_VERSION: u32 = 3;
+
+impl Report {
+    /// The report for one analysis run.
+    pub fn from_analysis(analysis: &Analysis) -> Self {
+        Report {
+            version: REPORT_VERSION,
+            files_scanned: analysis.files_scanned,
+            roots: analysis.scope.roots.clone(),
+            new_count: analysis.findings.len(),
+            findings: analysis.findings.clone(),
+        }
+    }
+}
 
 /// Renders the JSON report (pretty, trailing newline).
 pub fn render_json(report: &Report) -> String {
@@ -53,8 +63,7 @@ fn s(text: &str) -> Value {
 }
 
 /// Renders the findings as SARIF 2.1.0 (pretty, trailing newline).
-/// Baselined findings are emitted at `note` level so code scanning
-/// shows them without failing the run; new findings are `error`.
+/// Every finding is emitted at `error` level.
 pub fn render_sarif(report: &Report) -> String {
     let rules: Vec<Value> = RULES
         .iter()
@@ -74,10 +83,9 @@ pub fn render_sarif(report: &Report) -> String {
                 text.push_str("; call path: ");
                 text.push_str(&f.trace.join(" -> "));
             }
-            let level = if f.baselined { "note" } else { "error" };
             obj(vec![
                 ("ruleId", s(&f.rule)),
-                ("level", s(level)),
+                ("level", s("error")),
                 ("message", obj(vec![("text", s(&text))])),
                 (
                     "locations",
@@ -133,15 +141,12 @@ mod tests {
             files_scanned: 2,
             roots: vec!["crates/kernelsim/src/system.rs:448 System::run_epoch".to_string()],
             new_count: 1,
-            baselined_count: 0,
-            stale_baseline: Vec::new(),
             findings: vec![Finding {
                 rule: "T1".to_string(),
                 file: "crates/core/src/sense.rs".to_string(),
                 line: 7,
                 message: "wall-clock time (`Instant`) is reachable".to_string(),
                 excerpt: "let t = Instant::now();".to_string(),
-                baselined: false,
                 trace: vec![
                     "crates/kernelsim/src/system.rs:448 System::run_epoch".to_string(),
                     "crates/core/src/sense.rs:7 stamp".to_string(),

@@ -1,16 +1,21 @@
 //! The lint rules and the workspace analysis pass.
 //!
-//! Every rule has a stable ID (`D1`, `D2`, `N1`, `N2`, `P1`, `H1`,
-//! `C1`, `T1`, `W1`, `F2`, plus `A0` for malformed annotations) and an
-//! annotation key for suppression. Numeric rules (`N1`, `N2`) and the
-//! header rule (`H1`) are path-scoped; the determinism rules (`D1`,
-//! `D2`, `C1`) are scoped by *call-graph reachability* from the
-//! simulation roots (see [`crate::graph`]), so a new crate wired into
-//! the simulation enters scope automatically instead of by editing a
-//! hand-pinned path list. The taint rule (`T1`) reports the actual
+//! Every rule has a stable ID (`D1`, `D2`, `N2`, `C1`, `T1`, `W1`,
+//! `F2`, plus `A0` for malformed annotations) and an annotation key for
+//! suppression. The float-width rule (`N2`) is path-scoped; the
+//! determinism rules (`D1`, `D2`, `C1`) are scoped by *call-graph
+//! reachability* from the simulation roots (see [`crate::graph`]), so
+//! a new crate wired into the simulation enters scope automatically
+//! instead of by editing a hand-pinned path list. The taint rule (`T1`) reports the actual
 //! root-to-sink call path for every reachable nondeterminism sink, and
 //! the worker-pool rules (`W1`, `F2`) inspect closures passed to
 //! spawn-reaching functions.
+//!
+//! Panic hygiene, bare numeric casts and crate-root headers are not
+//! smartlint rules: clippy (`unwrap_used`, `expect_used`, `panic`,
+//! `unreachable`, `as_conversions`) and the workspace rustc lints
+//! (`missing_docs`, `unsafe_code`) enforce them, with justified sites
+//! carrying `#[expect(lint, reason = "…")]`.
 //!
 //! # Annotation grammar
 //!
@@ -31,7 +36,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::graph::{
     is_binary_root, is_thread_spawn, DerivedScope, FileModel, Graph, EXEMPT_D_UNITS,
@@ -41,10 +46,9 @@ use crate::parser::{parse_file, Callee, ParsedFile};
 use crate::SourceFile;
 
 /// One reported violation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Finding {
-    /// Rule ID (`D1`, `D2`, `N1`, `N2`, `P1`, `H1`, `C1`, `T1`, `W1`,
-    /// `F2`, `A0`).
+    /// Rule ID (`D1`, `D2`, `N2`, `C1`, `T1`, `W1`, `F2`, `A0`).
     pub rule: String,
     /// Workspace-relative path (forward slashes).
     pub file: String,
@@ -52,10 +56,8 @@ pub struct Finding {
     pub line: u32,
     /// Human explanation of what is wrong and how to fix it.
     pub message: String,
-    /// The trimmed source line, used as the baseline matching key.
+    /// The trimmed source line of the violation.
     pub excerpt: String,
-    /// Whether a baseline entry covers this finding.
-    pub baselined: bool,
     /// For `T1`: the root-to-sink call chain (`path:line fn` labels,
     /// root first). Empty for every other rule.
     pub trace: Vec<String>,
@@ -85,24 +87,9 @@ pub const RULES: &[RuleInfo] = &[
         summary: "no wall-clock, ambient randomness or env-dependent values in root-reachable simulation code",
     },
     RuleInfo {
-        id: "N1",
-        key: "numeric-cast",
-        summary: "no bare `as` numeric casts in counter/energy accounting files; use the sanctioned helpers",
-    },
-    RuleInfo {
         id: "N2",
         key: "float-width",
         summary: "no f32 in power/energy paths; all accounting is f64",
-    },
-    RuleInfo {
-        id: "P1",
-        key: "panic",
-        summary: "unwrap()/expect()/panic! in library code requires a justification annotation",
-    },
-    RuleInfo {
-        id: "H1",
-        key: "header",
-        summary: "crate roots must carry #![forbid(unsafe_code)] and #![deny(missing_docs)]",
     },
     RuleInfo {
         id: "C1",
@@ -137,63 +124,25 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
 }
 
 // ---------------------------------------------------------------------
-// Path scopes (rules that stay path-driven)
+// Path scope (N2 stays path-driven)
 // ---------------------------------------------------------------------
 
-/// Library crates subject to panic hygiene (P1). `crates/bench` is the
-/// timing/CLI harness and exempt by design.
-const LIB_CRATES: &[&str] = &[
-    "crates/archsim/src/",
-    "crates/kernelsim/src/",
-    "crates/mcpat/src/",
-    "crates/workloads/src/",
-    "crates/core/src/",
-    "crates/smartlint/src/",
-    "crates/telemetry/src/",
-    "crates/campaign/src/",
-    "crates/obsd/src/",
-];
-
-/// Counter/energy accounting files where every numeric `as` cast must
-/// go through a sanctioned helper (N1).
-const NUMERIC_FILES: &[&str] = &[
-    "crates/archsim/src/counters.rs",
-    "crates/archsim/src/execution.rs",
-    "crates/mcpat/src/",
-    "crates/core/src/estimate.rs",
-];
-
-/// Power/energy-path files where `f32` is banned outright (N2).
+/// Power/energy-path files where `f32` is banned outright (N2). The
+/// scope is per file, finer than a per-crate `clippy.toml` can express.
 const POWER_FILES: &[&str] = &[
     "crates/mcpat/src/",
     "crates/core/src/objective.rs",
     "crates/kernelsim/src/stats.rs",
 ];
 
-fn in_scope(path: &str, prefixes: &[&str]) -> bool {
-    prefixes.iter().any(|p| {
+fn n2_applies(path: &str) -> bool {
+    POWER_FILES.iter().any(|p| {
         if p.ends_with(".rs") {
             path == *p
         } else {
             path.starts_with(p)
         }
     })
-}
-
-fn n1_applies(path: &str) -> bool {
-    in_scope(path, NUMERIC_FILES)
-}
-
-fn n2_applies(path: &str) -> bool {
-    in_scope(path, POWER_FILES)
-}
-
-fn p1_applies(path: &str) -> bool {
-    in_scope(path, LIB_CRATES) && !is_binary_root(path)
-}
-
-fn h1_applies(path: &str) -> bool {
-    path.starts_with("crates/") && path.ends_with("/src/lib.rs")
 }
 
 // ---------------------------------------------------------------------
@@ -286,9 +235,8 @@ fn suppressed(annotations: &[Annotation], key: &str, line: u32) -> bool {
 // Test-region detection
 // ---------------------------------------------------------------------
 
-/// Line ranges covered by `#[cfg(test)]` / `#[test]` items. Rules that
-/// protect runtime accounting (D2, N1, P1) skip these: tests may time
-/// themselves, cast freely in assertions and unwrap known-good values.
+/// Line ranges covered by `#[cfg(test)]` / `#[test]` items. D2 and C1
+/// skip these: tests may time themselves and write scratch files.
 pub(crate) fn test_regions(tokens: &[Token]) -> Vec<(u32, u32)> {
     let mut regions = Vec::new();
     let mut i = 0;
@@ -620,7 +568,7 @@ fn detect_c1(lexed: &Lexed, parsed: &ParsedFile, regions: &[(u32, u32)]) -> Vec<
 }
 
 // ---------------------------------------------------------------------
-// Path-driven rules (unchanged by the graph)
+// Path-driven rule (unchanged by the graph)
 // ---------------------------------------------------------------------
 
 fn finding(rule: &str, path: &str, line: u32, lines: &[&str], message: String) -> Finding {
@@ -634,43 +582,7 @@ fn finding(rule: &str, path: &str, line: u32, lines: &[&str], message: String) -
         line,
         message,
         excerpt,
-        baselined: false,
         trace: Vec::new(),
-    }
-}
-
-/// N1 — bare numeric `as` casts in accounting files.
-fn rule_n1(
-    path: &str,
-    lexed: &Lexed,
-    lines: &[&str],
-    regions: &[(u32, u32)],
-    findings: &mut Vec<Finding>,
-) {
-    const NUMERIC_TYPES: &[&str] = &[
-        "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-        "f32", "f64",
-    ];
-    let toks = &lexed.tokens;
-    for i in 0..toks.len().saturating_sub(1) {
-        if is_ident(&toks[i], "as")
-            && toks[i + 1].kind == TokenKind::Ident
-            && NUMERIC_TYPES.contains(&toks[i + 1].text.as_str())
-            && !in_test_region(regions, toks[i].line)
-        {
-            findings.push(finding(
-                "N1",
-                path,
-                toks[i].line,
-                lines,
-                format!(
-                    "bare `as {}` cast in a counter/energy accounting file: lossy conversions \
-                     silently corrupt totals — use `round_count`/`ceil_count`/`count_to_f64` \
-                     (archsim) or justify with `// smartlint: allow(numeric-cast, \"…\")`",
-                    toks[i + 1].text
-                ),
-            ));
-        }
     }
 }
 
@@ -690,101 +602,6 @@ fn rule_n2(path: &str, lexed: &Lexed, lines: &[&str], findings: &mut Vec<Finding
                     .to_string(),
             ));
         }
-    }
-}
-
-/// P1 — panic hygiene in library code.
-fn rule_p1(
-    path: &str,
-    lexed: &Lexed,
-    lines: &[&str],
-    regions: &[(u32, u32)],
-    findings: &mut Vec<Finding>,
-) {
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokenKind::Ident || in_test_region(regions, t.line) {
-            continue;
-        }
-        // `.unwrap()` / `.expect(` — method calls only, so
-        // `unwrap_or_else` and local fields named `expect` don't match.
-        let is_method = matches!(t.text.as_str(), "unwrap" | "expect")
-            && i >= 1
-            && is_punct(&toks[i - 1], ".")
-            && toks.get(i + 1).is_some_and(|n| is_punct(n, "("));
-        // `panic!(` / `unreachable!(` / `todo!(` / `unimplemented!(`.
-        let is_macro = matches!(
-            t.text.as_str(),
-            "panic" | "unreachable" | "todo" | "unimplemented"
-        ) && toks.get(i + 1).is_some_and(|n| is_punct(n, "!"));
-        if is_method || is_macro {
-            findings.push(finding(
-                "P1",
-                path,
-                t.line,
-                lines,
-                format!(
-                    "`{}` in library code: convert to Result/saturating handling, or prove the \
-                     site infallible with `// smartlint: allow(panic, \"…\")`",
-                    t.text
-                ),
-            ));
-        }
-    }
-}
-
-/// H1 — crate-root header lints.
-fn rule_h1(path: &str, lexed: &Lexed, findings: &mut Vec<Finding>) {
-    // Collect inner-attribute lint declarations: `#![level(lint, …)]`.
-    let toks = &lexed.tokens;
-    let mut declared: Vec<(String, String)> = Vec::new();
-    let mut i = 0;
-    while i + 4 < toks.len() {
-        if is_punct(&toks[i], "#")
-            && is_punct(&toks[i + 1], "!")
-            && is_punct(&toks[i + 2], "[")
-            && toks[i + 3].kind == TokenKind::Ident
-            && matches!(toks[i + 3].text.as_str(), "forbid" | "deny" | "warn")
-            && is_punct(&toks[i + 4], "(")
-        {
-            let level = toks[i + 3].text.clone();
-            let mut j = i + 5;
-            while j < toks.len() && !is_punct(&toks[j], "]") {
-                if toks[j].kind == TokenKind::Ident {
-                    declared.push((level.clone(), toks[j].text.clone()));
-                }
-                j += 1;
-            }
-            i = j;
-        }
-        i += 1;
-    }
-    let has = |level: &[&str], lint: &str| {
-        declared
-            .iter()
-            .any(|(l, n)| level.contains(&l.as_str()) && n == lint)
-    };
-    let mut missing = Vec::new();
-    if !has(&["forbid"], "unsafe_code") {
-        missing.push("#![forbid(unsafe_code)]");
-    }
-    if !has(&["forbid", "deny"], "missing_docs") {
-        missing.push("#![deny(missing_docs)]");
-    }
-    if !missing.is_empty() {
-        findings.push(Finding {
-            rule: "H1".to_string(),
-            file: path.to_string(),
-            line: 1,
-            message: format!(
-                "crate root is missing the agreed header-lint set: {}",
-                missing.join(", ")
-            ),
-            excerpt: "(crate root attributes)".to_string(),
-            baselined: false,
-            trace: Vec::new(),
-        });
     }
 }
 
@@ -1025,7 +842,7 @@ fn scan_worker_closure(
 // ---------------------------------------------------------------------
 
 /// Analyzes one file's source as if it lived at workspace-relative
-/// `path` (scoping is path-driven for N1/N2/P1/H1, and assume-all for
+/// `path` (scoping is path-driven for N2, and assume-all for
 /// the graph rules when the file defines no simulation root — which is
 /// what lets the fixture tests exercise every rule without touching
 /// the real tree).
@@ -1098,17 +915,8 @@ pub(crate) fn analyze_set(
                     .push(finding("D2", path, h.line, &prep.lines, h.message.clone()));
             }
         }
-        if n1_applies(path) {
-            rule_n1(path, &prep.lexed, &prep.lines, &prep.regions, &mut prep.raw);
-        }
         if n2_applies(path) {
             rule_n2(path, &prep.lexed, &prep.lines, &mut prep.raw);
-        }
-        if p1_applies(path) {
-            rule_p1(path, &prep.lexed, &prep.lines, &prep.regions, &mut prep.raw);
-        }
-        if h1_applies(path) {
-            rule_h1(path, &prep.lexed, &mut prep.raw);
         }
         if scope.c1_applies(path) {
             for h in &c1_hits {
@@ -1257,40 +1065,47 @@ mod tests {
     #[test]
     fn annotation_grammar_round_trips() {
         assert_eq!(
-            parse_allow("allow(panic, \"provably infallible\")"),
-            Some("panic".to_string())
+            parse_allow("allow(float-width, \"exact by construction\")"),
+            Some("float-width".to_string())
         );
-        assert_eq!(parse_allow("allow(panic)"), None, "reason is mandatory");
-        assert_eq!(parse_allow("allow(panic, \"\")"), None, "reason non-empty");
-        assert_eq!(parse_allow("deny(panic, \"x\")"), None);
+        assert_eq!(
+            parse_allow("allow(float-width)"),
+            None,
+            "reason is mandatory"
+        );
+        assert_eq!(
+            parse_allow("allow(float-width, \"\")"),
+            None,
+            "reason non-empty"
+        );
+        assert_eq!(parse_allow("deny(float-width, \"x\")"), None);
     }
 
     #[test]
     fn suppression_covers_same_and_next_line() {
-        let src = "// smartlint: allow(panic, \"fine\")\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\npub fn g(x: Option<u8>) -> u8 { x.unwrap() }\n";
-        let f = analyze_source("crates/archsim/src/demo.rs", src);
-        assert_eq!(f.len(), 1, "only the un-annotated unwrap fires: {f:?}");
+        let src = "// smartlint: allow(float-width, \"fine\")\npub fn f(x: f32) -> f32 { x }\npub fn g(x: f32) -> f32 { x }\n";
+        let f = analyze_source("crates/mcpat/src/demo.rs", src);
+        assert_eq!(f.len(), 1, "only the un-annotated f32 fires: {f:?}");
         assert_eq!(f[0].line, 3);
     }
 
     #[test]
-    fn test_regions_are_exempt_from_p1() {
-        let src =
-            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { None::<u8>.unwrap(); }\n}\n";
-        assert!(analyze_source("crates/archsim/src/demo.rs", src).is_empty());
+    fn test_regions_are_exempt_from_d2() {
+        let src = "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { let _ = std::time::Instant::now(); }\n}\n";
+        assert!(analyze_source("crates/kernelsim/src/demo.rs", src).is_empty());
     }
 
     #[test]
     fn scoping_is_path_driven() {
-        let cast = "pub fn f(x: f64) -> u64 { x as u64 }\n";
-        assert!(!analyze_source("crates/archsim/src/execution.rs", cast).is_empty());
-        assert!(analyze_source("crates/archsim/src/pipeline.rs", cast).is_empty());
-        assert!(analyze_source("crates/bench/src/harness.rs", cast).is_empty());
+        let narrow = "pub fn f(x: f32) -> f32 { x }\n";
+        assert!(!analyze_source("crates/core/src/objective.rs", narrow).is_empty());
+        assert!(analyze_source("crates/core/src/predict.rs", narrow).is_empty());
+        assert!(analyze_source("crates/bench/src/harness.rs", narrow).is_empty());
     }
 
     #[test]
-    fn binary_roots_are_exempt_from_panic_hygiene() {
-        let src = "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
+    fn binary_roots_are_exempt_from_determinism_rules() {
+        let src = "pub fn stamp() { let _ = std::time::Instant::now(); }\n";
         assert!(analyze_source("crates/smartlint/src/main.rs", src).is_empty());
         assert!(analyze_source("crates/bench/src/bin/run.rs", src).is_empty());
         assert!(!analyze_source("crates/kernelsim/src/system.rs", src).is_empty());

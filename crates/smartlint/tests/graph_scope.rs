@@ -10,17 +10,16 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
-use smartlint::output::{render_json, render_sarif, Report, REPORT_VERSION};
-use smartlint::{analyze_file_set, analyze_workspace, Analysis, Baseline, SourceFile};
+use smartlint::output::{render_json, render_sarif, Report};
+use smartlint::{analyze_file_set, analyze_workspace, Analysis, SourceFile};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
 }
 
 fn analyze() -> Analysis {
-    analyze_workspace(&workspace_root(), &Baseline::default()).expect("workspace analyzes")
+    analyze_workspace(&workspace_root()).expect("workspace analyzes")
 }
 
 /// The D1/D2 path lists smartlint enforced before scope was derived
@@ -101,11 +100,10 @@ fn live_observability_plane_stays_outside_sim_scope() {
         obsd_findings.is_empty(),
         "the live plane must lint clean: {obsd_findings:?}"
     );
-    assert_eq!(
-        analysis.new_findings().count(),
-        0,
-        "the observability plane introduces no new findings anywhere: {:?}",
-        analysis.new_findings().collect::<Vec<_>>()
+    assert!(
+        analysis.findings.is_empty(),
+        "the observability plane introduces no findings anywhere: {:?}",
+        analysis.findings
     );
 }
 
@@ -151,7 +149,7 @@ fn taint_crosses_crate_boundaries_through_lib_name_imports() {
     ];
     let mut names = BTreeMap::new();
     names.insert("crates/core/src/".to_string(), "smartbalance".to_string());
-    let analysis = analyze_file_set(&files, &names, &Baseline::default());
+    let analysis = analyze_file_set(&files, &names);
     let t1: Vec<_> = analysis
         .findings
         .iter()
@@ -186,7 +184,7 @@ fn worker_pool_rules_follow_spawns_across_files() {
                 .to_string(),
         },
     ];
-    let analysis = analyze_file_set(&files, &BTreeMap::new(), &Baseline::default());
+    let analysis = analyze_file_set(&files, &BTreeMap::new());
     assert!(
         analysis
             .findings
@@ -199,15 +197,7 @@ fn worker_pool_rules_follow_spawns_across_files() {
 
 #[test]
 fn analyzer_output_is_byte_identical_across_runs() {
-    let report = |a: &Analysis| Report {
-        version: REPORT_VERSION,
-        files_scanned: a.files_scanned,
-        roots: a.scope.roots.clone(),
-        new_count: a.new_findings().count(),
-        baselined_count: a.findings.iter().filter(|f| f.baselined).count(),
-        stale_baseline: a.stale_baseline.clone(),
-        findings: a.findings.clone(),
-    };
+    let report = Report::from_analysis;
     let first = analyze();
     let second = analyze();
     assert_eq!(
@@ -220,62 +210,4 @@ fn analyzer_output_is_byte_identical_across_runs() {
         render_sarif(&report(&second)),
         "SARIF report must be byte-identical across runs"
     );
-}
-
-#[test]
-fn stale_baseline_fails_deny_and_prune_clears_it() {
-    let tmp = std::env::temp_dir().join("smartlint_stale_baseline_test.json");
-    let stale = r#"{"version":1,"entries":[{"rule":"D2","file":"crates/zzz/src/gone.rs","excerpt":"let t = Instant::now();"}]}"#;
-    std::fs::write(&tmp, stale).expect("write temp baseline");
-    let bin = env!("CARGO_BIN_EXE_smartlint");
-    let root = workspace_root();
-
-    let deny = Command::new(bin)
-        .args(["--root"])
-        .arg(&root)
-        .args(["--baseline"])
-        .arg(&tmp)
-        .args(["--deny"])
-        .output()
-        .expect("run smartlint --deny");
-    assert_eq!(
-        deny.status.code(),
-        Some(1),
-        "a stale baseline entry must fail --deny: {}",
-        String::from_utf8_lossy(&deny.stderr)
-    );
-
-    let prune = Command::new(bin)
-        .args(["--root"])
-        .arg(&root)
-        .args(["--baseline"])
-        .arg(&tmp)
-        .args(["--prune-baseline"])
-        .output()
-        .expect("run smartlint --prune-baseline");
-    assert!(
-        prune.status.success(),
-        "{}",
-        String::from_utf8_lossy(&prune.stderr)
-    );
-    let rewritten = std::fs::read_to_string(&tmp).expect("pruned baseline readable");
-    assert!(
-        !rewritten.contains("gone.rs"),
-        "the stale entry is dropped: {rewritten}"
-    );
-
-    let clean = Command::new(bin)
-        .args(["--root"])
-        .arg(&root)
-        .args(["--baseline"])
-        .arg(&tmp)
-        .args(["--deny"])
-        .output()
-        .expect("run smartlint --deny after prune");
-    assert!(
-        clean.status.success(),
-        "after pruning, --deny passes: {}",
-        String::from_utf8_lossy(&clean.stderr)
-    );
-    let _ = std::fs::remove_file(&tmp);
 }

@@ -1,38 +1,28 @@
-//! The self-clean gate: running smartlint over the live workspace with
-//! the checked-in baseline must produce zero new findings. This is the
-//! same check CI runs via `cargo run -p smartlint -- --deny`.
+//! The self-clean gate: running smartlint over the live workspace must
+//! produce zero findings. This is the same check CI runs via
+//! `cargo run -p smartlint -- --deny`.
 
 use smartlint::analyze_workspace;
-use smartlint::baseline::Baseline;
 use std::path::Path;
 
 #[test]
 fn workspace_has_no_unbaselined_findings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let baseline_path = root.join("smartlint.baseline.json");
-    let text = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", baseline_path.display()));
-    let baseline = Baseline::parse(&text).expect("checked-in baseline parses");
-
-    let analysis = analyze_workspace(&root, &baseline).expect("workspace walk succeeds");
+    let analysis = analyze_workspace(&root).expect("workspace walk succeeds");
 
     assert!(
         analysis.files_scanned > 20,
         "walker found only {} files — scope bug?",
         analysis.files_scanned
     );
-    let fresh: Vec<String> = analysis
-        .new_findings()
+    let findings: Vec<String> = analysis
+        .findings
+        .iter()
         .map(|f| format!("{} {}:{} {}", f.rule, f.file, f.line, f.message))
         .collect();
     assert!(
-        fresh.is_empty(),
+        findings.is_empty(),
         "workspace is not smartlint-clean:\n{}",
-        fresh.join("\n")
-    );
-    assert!(
-        analysis.stale_baseline.is_empty(),
-        "baseline has stale entries: {:?}",
-        analysis.stale_baseline
+        findings.join("\n")
     );
 }

@@ -25,8 +25,15 @@
 //! loop. The same seeds therefore produce byte-identical JSONL, trace
 //! and Prometheus output on every rerun and any worker count.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod export;
 pub mod live;

@@ -23,9 +23,15 @@
 //! assert_eq!(hthi.name(), "HTHI");
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod imb;
 pub mod mixes;
