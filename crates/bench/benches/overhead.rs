@@ -7,7 +7,9 @@
 use archsim::Platform;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use kernelsim::{NullBalancer, System, SystemConfig};
-use smartbalance::{anneal, build_matrices, AnnealParams, Goal, Objective, PredictorSet, Sensor};
+use smartbalance::{
+    anneal, build_matrices, ipc_rows, AnnealParams, Goal, Objective, PredictorSet, Sensor,
+};
 use workloads::SyntheticGenerator;
 
 fn epoch_report(platform: &Platform, threads: usize) -> kernelsim::EpochReport {
@@ -38,10 +40,14 @@ fn bench_phases(c: &mut Criterion) {
     let mut sensor = Sensor::new(100_000);
     let senses = sensor.sense(&platform, &report);
     group.bench_function("predict_build_matrices", |b| {
-        b.iter(|| build_matrices(&platform, &senses, &predictors))
+        b.iter(|| {
+            let rows = ipc_rows(&platform, &senses, &predictors);
+            build_matrices(&platform, &senses, &rows, &predictors)
+        })
     });
 
-    let matrices = build_matrices(&platform, &senses, &predictors);
+    let rows = ipc_rows(&platform, &senses, &predictors);
+    let matrices = build_matrices(&platform, &senses, &rows, &predictors);
     let initial: Vec<usize> = senses.iter().map(|s| s.core.0).collect();
     group.bench_function("optimize_anneal", |b| {
         let objective = Objective::new(&matrices, Goal::EnergyEfficiency);

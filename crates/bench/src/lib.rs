@@ -21,8 +21,8 @@ use archsim::Platform;
 use kernelsim::{EpochReport, LoadBalancer, System, SystemConfig};
 use serde::Serialize;
 use smartbalance::{
-    anneal, build_matrices, AnnealParams, ExperimentSpec, ExperimentSuite, Goal, Objective, Policy,
-    PredictorSet, Sensor, SuiteProgress, SuiteReport,
+    anneal, build_matrices, ipc_rows, AnnealParams, ExperimentSpec, ExperimentSuite, Goal,
+    Objective, Policy, PredictorSet, Sensor, SuiteProgress, SuiteReport,
 };
 use workloads::{ImbConfig, MixId, WorkloadProfile};
 
@@ -230,7 +230,8 @@ impl LoadBalancer for InstrumentedSmart {
         t.threads = senses.len();
 
         let t1 = Instant::now();
-        let matrices = build_matrices(platform, &senses, &self.predictors);
+        let rows = ipc_rows(platform, &senses, &self.predictors);
+        let matrices = build_matrices(platform, &senses, &rows, &self.predictors);
         t.predict_s = t1.elapsed().as_secs_f64();
 
         let t2 = Instant::now();

@@ -28,26 +28,23 @@ use mcpat::CorePowerModel;
 use telemetry::TelemetryHandle;
 
 use crate::anneal::{anneal, AnnealOutcome, AnnealParams};
-use crate::balance::smart::{PreambleOutcome, SmartBalance};
+use crate::balance::smart::{migrations, PreambleOutcome, SmartBalance};
 use crate::config::SmartBalanceConfig;
-use crate::estimate::TypeRates;
-use crate::matrices::CharacterizationMatrices;
+use crate::estimate::{rate_matrices, TypeRates};
 use crate::objective::Objective;
 use crate::sense::ThreadSense;
 use crate::shard::{mask_allows, ExchangeState, ShardConfig};
 use crate::suite::{default_workers, parallel_indexed, splitmix64};
 
-/// One cluster's self-contained anneal problem, built serially and
-/// solved on the worker pool.
+/// One cluster's self-contained anneal problem: partitioned serially,
+/// its matrices built and solved on the worker pool.
 struct ClusterProblem {
     /// Cluster index in the topology.
     cluster: usize,
     /// Global core ids backing the local columns (online cores only).
     columns: Vec<CoreId>,
-    /// Sense indices backing the local rows.
-    rows: Vec<usize>,
-    /// Cluster-local characterization matrices (`m_c × n_c`).
-    matrices: CharacterizationMatrices,
+    /// `(sense index, cluster-local affinity mask)` of each local row.
+    rows: Vec<(usize, u64)>,
     /// Local initial allocation (current column of each row).
     initial: Vec<usize>,
     params: AnnealParams,
@@ -118,6 +115,7 @@ impl ShardedBalancer {
         &mut self,
         platform: &Platform,
         senses: &[ThreadSense],
+        ipc_rows: &[Vec<f64>],
         online: &[bool],
     ) -> Option<Allocation> {
         let goal = self.inner.config().goal;
@@ -128,7 +126,8 @@ impl ShardedBalancer {
         // the flat path's dense matrices are O(m·n).
         let rates: Vec<TypeRates> = senses
             .iter()
-            .map(|s| TypeRates::build(platform, s, self.inner.predictors()))
+            .zip(ipc_rows)
+            .map(|(s, row)| TypeRates::build(platform, s, row, self.inner.predictors()))
             .collect();
         // The exact clamp CharacterizationMatrices applies.
         let util: Vec<f64> = senses
@@ -151,7 +150,7 @@ impl ShardedBalancer {
             movable[i] = !self.inner.is_quarantined(s.task);
         }
 
-        // --- Build one anneal problem per non-empty cluster ----------
+        // --- Partition into one anneal problem per non-empty cluster --
         let epoch_seed = self.inner.next_epoch_seed();
         let global_weights = self.inner.effective_core_weights(platform);
         let mut col_of = vec![usize::MAX; n];
@@ -207,31 +206,10 @@ impl ShardedBalancer {
             if kept.is_empty() {
                 continue;
             }
-            let core_types: Vec<CoreTypeId> = columns
+            let initial = kept
                 .iter()
-                .map(|&core| platform.core_type(core))
+                .map(|&(i, _)| col_of[senses[i].core.0])
                 .collect();
-            let sleep: Vec<f64> = columns
-                .iter()
-                .map(|&core| self.sleep_power_w[core.0])
-                .collect();
-            let tasks = kept.iter().map(|&(i, _)| senses[i].task).collect();
-            let mut matrices = CharacterizationMatrices::new(tasks, core_types.clone(), sleep);
-            let mut initial = Vec::with_capacity(kept.len());
-            for (r, &(i, mask)) in kept.iter().enumerate() {
-                for (j, &t) in core_types.iter().enumerate() {
-                    matrices.set(
-                        r,
-                        j,
-                        rates[i].ips(t),
-                        rates[i].power_w(t),
-                        rates[i].is_measured(t),
-                    );
-                }
-                matrices.set_utilization(r, senses[i].utilization);
-                matrices.set_allowed(r, mask);
-                initial.push(col_of[senses[i].core.0]);
-            }
             let params = self
                 .inner
                 .config()
@@ -246,8 +224,7 @@ impl ShardedBalancer {
             problems.push(ClusterProblem {
                 cluster: c,
                 columns,
-                rows: kept.iter().map(|&(i, _)| i).collect(),
-                matrices,
+                rows: kept,
                 initial,
                 params,
                 seed,
@@ -260,7 +237,7 @@ impl ShardedBalancer {
             return None;
         }
 
-        // --- Parallel per-cluster anneal ------------------------------
+        // --- Parallel per-cluster matrices and anneal ------------------
         let workers = if self.shard.workers == 0 {
             default_workers()
         } else {
@@ -268,7 +245,9 @@ impl ShardedBalancer {
         };
         let outcomes: Vec<AnnealOutcome> = parallel_indexed(problems.len(), workers, |idx| {
             let p = &problems[idx];
-            let mut objective = Objective::new(&p.matrices, goal);
+            let sleep_w = &self.sleep_power_w;
+            let matrices = rate_matrices(platform, &p.columns, sleep_w, &p.rows, senses, &rates);
+            let mut objective = Objective::new(&matrices, goal);
             if let Some(w) = &p.weights {
                 objective = objective.with_weights(w.clone());
             }
@@ -280,13 +259,14 @@ impl ShardedBalancer {
         // maintained *global* objective, then move the most misplaced
         // threads across cluster boundaries while each move pays.
         let current: Vec<usize> = senses.iter().map(|s| s.core.0).collect();
+        let ones = vec![1.0; n];
         let mut state = ExchangeState::new(
             goal,
             &rates,
             &util,
             &types,
             &self.sleep_power_w,
-            global_weights.clone(),
+            global_weights.as_deref().unwrap_or(&ones),
             &current,
         );
         let initial_total = state.value();
@@ -298,7 +278,7 @@ impl ShardedBalancer {
         for (p, out) in problems.iter().zip(&outcomes) {
             let mut applied: Vec<(usize, usize)> = Vec::new();
             let mut net = 0.0;
-            for (r, &i) in p.rows.iter().enumerate() {
+            for (r, &(i, _)) in p.rows.iter().enumerate() {
                 let dest = p.columns[out.allocation[r]].0;
                 let from = state.core_of(i);
                 if dest != from {
@@ -330,6 +310,25 @@ impl ShardedBalancer {
         };
         let mut least: Vec<Option<CoreId>> =
             (0..clusters).map(|c| least_loaded(&state, c)).collect();
+        // Thread i's cluster and its best hop: the foreign cluster's
+        // least-loaded allowed core with the largest delta (the first on
+        // a tie), the thread lifted off its core once for the scan.
+        let best_hop = |state: &ExchangeState<'_>, least: &[Option<CoreId>], i: usize| {
+            let from = self.topology.cluster_of(CoreId(state.core_of(i))).0;
+            let lifted = state.lift(i);
+            let mut best: Option<(f64, CoreId)> = None;
+            for (c, dest) in least.iter().enumerate() {
+                let Some(dest) = *dest else { continue };
+                if c == from || !mask_allows(senses[i].allowed, dest.0) {
+                    continue;
+                }
+                let delta = state.delta_onto(&lifted, dest.0);
+                if best.is_none_or(|(bd, _)| delta > bd) {
+                    best = Some((delta, dest));
+                }
+            }
+            (from, best.filter(|&(delta, _)| delta > self.shard.min_gain))
+        };
 
         // Exchange stage: up to `exchange_rounds` rounds, each picking
         // per cluster the top-K threads by the aggregate-objective gain
@@ -346,24 +345,9 @@ impl ShardedBalancer {
             // Selection against each thread's *current* cluster (it
             // may have hopped in an earlier round).
             let mut per_cluster: Vec<Vec<(f64, usize)>> = vec![Vec::new(); clusters];
-            for i in 0..m {
-                if !movable[i] {
-                    continue;
-                }
-                let c = self.topology.cluster_of(CoreId(state.core_of(i))).0;
-                let mut best = f64::NEG_INFINITY;
-                for (c2, dest) in least.iter().enumerate() {
-                    if c2 == c {
-                        continue;
-                    }
-                    let Some(dest) = dest else { continue };
-                    if !mask_allows(senses[i].allowed, dest.0) {
-                        continue;
-                    }
-                    best = best.max(state.delta_for_move(i, dest.0));
-                }
-                if best > self.shard.min_gain {
-                    per_cluster[c].push((best, i));
+            for i in (0..m).filter(|&i| movable[i]) {
+                if let (c, Some((gain, _))) = best_hop(&state, &least, i) {
+                    per_cluster[c].push((gain, i));
                 }
             }
             let mut candidates: Vec<(f64, usize)> = Vec::new();
@@ -380,31 +364,13 @@ impl ShardedBalancer {
 
             let mut round_moves: u64 = 0;
             for &(_, i) in &candidates {
-                let from_cluster = self.topology.cluster_of(CoreId(state.core_of(i))).0;
-                let mut best: Option<(f64, CoreId)> = None;
-                for (c2, dest) in least.iter().enumerate() {
-                    if c2 == from_cluster {
-                        continue;
-                    }
-                    let Some(dest) = *dest else { continue };
-                    if !mask_allows(senses[i].allowed, dest.0) {
-                        continue;
-                    }
-                    let delta = state.delta_for_move(i, dest.0);
-                    if best.is_none_or(|(bd, _)| delta > bd) {
-                        best = Some((delta, dest));
-                    }
-                }
-                if let Some((delta, dest)) = best {
-                    if delta > self.shard.min_gain {
-                        let to_cluster = self.topology.cluster_of(dest).0;
-                        state.commit_move(i, dest.0);
-                        round_moves += 1;
-                        // Only the two touched clusters' load minima
-                        // moved.
-                        least[from_cluster] = least_loaded(&state, from_cluster);
-                        least[to_cluster] = least_loaded(&state, to_cluster);
-                    }
+                if let (from_cluster, Some((_, dest))) = best_hop(&state, &least, i) {
+                    let to_cluster = self.topology.cluster_of(dest).0;
+                    state.commit_move(i, dest.0);
+                    round_moves += 1;
+                    // Only the two touched clusters' load minima moved.
+                    least[from_cluster] = least_loaded(&state, from_cluster);
+                    least[to_cluster] = least_loaded(&state, to_cluster);
                 }
             }
             exchange_moves += round_moves;
@@ -452,8 +418,9 @@ impl ShardedBalancer {
                 );
             }
         }
+        let moves = migrations(senses, &final_alloc);
         self.inner.set_last_outcome(Some(AnnealOutcome {
-            allocation: final_alloc.clone(),
+            allocation: final_alloc,
             objective: final_total,
             initial_objective: initial_total,
             // Sums fit u32 comfortably (≤4000 iterations × 64 clusters)
@@ -461,18 +428,7 @@ impl ShardedBalancer {
             iterations: u32::try_from(total_iterations).unwrap_or(u32::MAX),
             accepted_moves: u32::try_from(total_accepted).unwrap_or(u32::MAX),
         }));
-
-        let mut alloc = Allocation::new();
-        for (i, s) in senses.iter().enumerate() {
-            if final_alloc[i] != current[i] {
-                alloc.assign(s.task, CoreId(final_alloc[i]));
-            }
-        }
-        if alloc.is_empty() {
-            None
-        } else {
-            Some(alloc)
-        }
+        moves
     }
 }
 
@@ -488,9 +444,11 @@ impl LoadBalancer for ShardedBalancer {
     fn rebalance(&mut self, platform: &Platform, report: &EpochReport) -> Option<Allocation> {
         match self.inner.preamble(platform, report) {
             PreambleOutcome::Skip(alloc) => alloc,
-            PreambleOutcome::Proceed { senses, online } => {
-                self.sharded_balance(platform, &senses, &online)
-            }
+            PreambleOutcome::Proceed {
+                senses,
+                ipc_rows,
+                online,
+            } => self.sharded_balance(platform, &senses, &ipc_rows, &online),
         }
     }
 }
@@ -564,8 +522,9 @@ mod tests {
         );
     }
 
-    /// Quarantine pinning survives sharding: a thread the tracker
-    /// distrusts never moves (mirrors the flat balancer's contract).
+    /// The balancer shards over the platform's own cluster topology.
+    /// (Quarantine pinning through the shards is covered by
+    /// `quarantined_threads_never_migrate_sharded` in `tests/faults.rs`.)
     #[test]
     fn topology_is_cached_from_the_platform() {
         let platform = Platform::clustered_heterogeneous(4, 16);

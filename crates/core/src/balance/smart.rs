@@ -5,7 +5,9 @@
 //! Per epoch:
 //! 1. **sense** — distil the epoch's per-thread counters into workload
 //!    signatures ([`crate::sense::Sensor`]);
-//! 2. **estimate/predict** — build the full `S(k)`/`P(k)`
+//! 2. **estimate/predict** — predict each thread's IPC on every core
+//!    type once ([`crate::estimate::ipc_rows`]; the quarantine audit
+//!    reads the same rows), then build the full `S(k)`/`P(k)`
 //!    characterization matrices, measuring on the current core type and
 //!    predicting everywhere else ([`crate::estimate::build_matrices`]);
 //! 3. **balance** — run Algorithm 1 ([`crate::anneal::anneal`]) from
@@ -20,7 +22,7 @@ use crate::balance::vanilla::VanillaBalancer;
 use crate::config::SmartBalanceConfig;
 use crate::degrade::QuarantineTracker;
 use crate::degrade::{predict_free_greedy, DegradeController, DegradeMode, EpochHealth};
-use crate::estimate::build_matrices;
+use crate::estimate::{build_matrices, ipc_rows};
 use crate::objective::Objective;
 use crate::predict::PredictorSet;
 use crate::sense::{SenseHealth, Sensor, ThreadSense};
@@ -38,6 +40,9 @@ pub(crate) enum PreambleOutcome {
     Proceed {
         /// Sensed, constriction-adjusted per-thread rows.
         senses: Vec<ThreadSense>,
+        /// Each sense's predicted IPC per core type
+        /// ([`crate::estimate::ipc_rows`]).
+        ipc_rows: Vec<Vec<f64>>,
         /// Per-core availability (`online[j]`), from the epoch report.
         online: Vec<bool>,
     },
@@ -81,17 +86,6 @@ pub struct SmartBalance {
     telemetry: Option<TelemetryHandle>,
 }
 
-/// Builds the sensing stage from the configuration (shared by both
-/// constructors).
-fn sensor_from_config(config: &SmartBalanceConfig) -> Sensor {
-    Sensor::new(config.min_sample_runtime_ns)
-        .with_power_noise(
-            config.power_noise_sigma,
-            config.sensor_seed.unwrap_or(0xBAD_5EED),
-        )
-        .with_signature_ttl(config.degrade.signature_ttl_epochs)
-}
-
 impl SmartBalance {
     /// Creates the policy for `platform` with default configuration,
     /// performing the offline predictor training (Section 4.2.2's
@@ -109,17 +103,8 @@ impl SmartBalance {
             config.sparse_sensing,
         );
         SmartBalance {
-            sensor: sensor_from_config(&config),
-            predictors,
-            seed: config.anneal_seed.unwrap_or(0x5A17_B0B5),
-            epochs_balanced: 0,
             thermal: config.thermal.map(|_| ThermalModel::new(platform)),
-            degrade: DegradeController::new(config.degrade),
-            quarantine: QuarantineTracker::new(),
-            fallback: VanillaBalancer::new(),
-            config,
-            last_outcome: None,
-            telemetry: None,
+            ..Self::with_predictors(predictors, config)
         }
     }
 
@@ -128,7 +113,12 @@ impl SmartBalance {
     /// available through this constructor (it needs the platform).
     pub fn with_predictors(predictors: PredictorSet, config: SmartBalanceConfig) -> Self {
         SmartBalance {
-            sensor: sensor_from_config(&config),
+            sensor: Sensor::new(config.min_sample_runtime_ns)
+                .with_power_noise(
+                    config.power_noise_sigma,
+                    config.sensor_seed.unwrap_or(0xBAD_5EED),
+                )
+                .with_signature_ttl(config.degrade.signature_ttl_epochs),
             predictors,
             seed: config.anneal_seed.unwrap_or(0x5A17_B0B5),
             epochs_balanced: 0,
@@ -279,9 +269,13 @@ impl SmartBalance {
             return PreambleOutcome::Skip(None);
         }
 
+        // --- Predict: one IPC row per thread, shared by the audit below
+        // and the optimizer's characterization.
+        let ipc_rows = ipc_rows(platform, &senses, &self.predictors);
+
         // --- Degradation ladder: distrust what failed --------------------
         self.quarantine
-            .observe(platform, &senses, &self.predictors, &self.config.degrade);
+            .observe(platform, &senses, &ipc_rows, &self.config.degrade);
         let sense_health = self.sensor.health();
         let health = EpochHealth {
             candidates: sense_health.candidates,
@@ -359,14 +353,23 @@ impl SmartBalance {
             }
         }
 
-        PreambleOutcome::Proceed { senses, online }
+        PreambleOutcome::Proceed {
+            senses,
+            ipc_rows,
+            online,
+        }
     }
 
     /// The flat (single-domain) back half: build the dense matrices,
     /// run Algorithm 1 over all cores at once and emit the diff.
-    fn flat_balance(&mut self, platform: &Platform, senses: &[ThreadSense]) -> Option<Allocation> {
+    fn flat_balance(
+        &mut self,
+        platform: &Platform,
+        senses: &[ThreadSense],
+        ipc_rows: &[Vec<f64>],
+    ) -> Option<Allocation> {
         // --- Estimate & predict: S(k), P(k) ----------------------------
-        let matrices = build_matrices(platform, senses, &self.predictors);
+        let matrices = build_matrices(platform, senses, ipc_rows, &self.predictors);
 
         // --- Balance: Algorithm 1 from the current allocation ----------
         let initial: Vec<usize> = senses.iter().map(|s| s.core.0).collect();
@@ -381,15 +384,7 @@ impl SmartBalance {
         let seed = self.next_epoch_seed();
         let outcome = anneal(&objective, &initial, params, seed);
 
-        let mut alloc = Allocation::new();
-        for (sense, (&new_core, &old_core)) in senses
-            .iter()
-            .zip(outcome.allocation.iter().zip(initial.iter()))
-        {
-            if new_core != old_core {
-                alloc.assign(sense.task, archsim::CoreId(new_core));
-            }
-        }
+        let moves = migrations(senses, &outcome.allocation);
         if let Some(tel) = &self.telemetry {
             let mut tel = tel.borrow_mut();
             // Predict-stage work = the dense S/P matrices just built:
@@ -414,13 +409,20 @@ impl SmartBalance {
             }
         }
         self.last_outcome = Some(outcome);
+        moves
+    }
+}
 
-        if alloc.is_empty() {
-            None
-        } else {
-            Some(alloc)
+/// The migrations that move each sensed thread from its current core to
+/// `dest[i]`, in sense order; `None` when nothing moves.
+pub(crate) fn migrations(senses: &[ThreadSense], dest: &[usize]) -> Option<Allocation> {
+    let mut alloc = Allocation::new();
+    for (sense, &core) in senses.iter().zip(dest) {
+        if core != sense.core.0 {
+            alloc.assign(sense.task, archsim::CoreId(core));
         }
     }
+    (!alloc.is_empty()).then_some(alloc)
 }
 
 impl LoadBalancer for SmartBalance {
@@ -435,7 +437,9 @@ impl LoadBalancer for SmartBalance {
     fn rebalance(&mut self, platform: &Platform, report: &EpochReport) -> Option<Allocation> {
         match self.preamble(platform, report) {
             PreambleOutcome::Skip(alloc) => alloc,
-            PreambleOutcome::Proceed { senses, .. } => self.flat_balance(platform, &senses),
+            PreambleOutcome::Proceed {
+                senses, ipc_rows, ..
+            } => self.flat_balance(platform, &senses, &ipc_rows),
         }
     }
 }

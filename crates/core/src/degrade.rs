@@ -45,8 +45,8 @@ use archsim::{CoreId, Platform};
 use kernelsim::{Allocation, TaskId};
 use serde::{Deserialize, Serialize};
 
-use crate::predict::PredictorSet;
 use crate::sense::ThreadSense;
+use crate::shard::mask_allows;
 
 /// Rung of the degradation ladder, ordered from most to least
 /// sensing-dependent.
@@ -292,24 +292,30 @@ impl QuarantineTracker {
     }
 
     /// Folds one epoch of senses into the residual EWMAs and updates
-    /// the quarantine set. Only fresh, positively-measured samples
+    /// the quarantine set; `ipc_rows` are the senses'
+    /// [`crate::estimate::ipc_rows`], whose source-type entries are the
+    /// identity predictions. Only fresh, positively-measured samples
     /// contribute; replayed or prior-backed senses leave the residual
     /// untouched. Threads absent from `senses` are forgotten.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ipc_rows` does not hold one row per sense.
     pub fn observe(
         &mut self,
         platform: &Platform,
         senses: &[ThreadSense],
-        predictors: &PredictorSet,
+        ipc_rows: &[Vec<f64>],
         config: &DegradeConfig,
     ) {
+        assert_eq!(ipc_rows.len(), senses.len(), "one IPC row per sense");
         let alpha = config.residual_alpha.clamp(1e-3, 1.0);
-        for sense in senses {
+        for (sense, row) in senses.iter().zip(ipc_rows) {
             if !sense.fresh || sense.measured_ips <= 0.0 {
                 continue;
             }
             let src = platform.core_type(sense.core);
-            let ipc = predictors.predict_ipc(&sense.features, src, src);
-            let predicted_ips = ipc * platform.type_config(src).freq_hz;
+            let predicted_ips = row[src.0] * platform.type_config(src).freq_hz;
             let rel = (predicted_ips - sense.measured_ips).abs() / sense.measured_ips.max(1.0);
             let ewma = match self.residuals.get(&sense.task) {
                 Some(&prev) => alpha * rel + (1.0 - alpha) * prev,
@@ -351,11 +357,6 @@ impl QuarantineTracker {
         ids.sort_unstable_by_key(|t| t.0);
         ids
     }
-}
-
-/// Affinity-mask check matching the kernel simulator's semantics.
-fn allows_core(mask: u64, core: usize) -> bool {
-    core < 64 && mask & (1 << core) != 0 || core >= 64 && mask == u64::MAX
 }
 
 /// The `PredictFree` rung's allocator: deterministic
@@ -410,11 +411,11 @@ pub fn predict_free_greedy(
         let fits = order
             .iter()
             .copied()
-            .filter(|&j| is_online(j) && allows_core(sense.allowed, j))
+            .filter(|&j| is_online(j) && mask_allows(sense.allowed, j))
             .find(|&j| capacity[j] >= demand);
         let target = fits.or_else(|| {
             (0..n)
-                .filter(|&j| is_online(j) && allows_core(sense.allowed, j))
+                .filter(|&j| is_online(j) && mask_allows(sense.allowed, j))
                 .max_by(|&a, &b| {
                     capacity[a]
                         .partial_cmp(&capacity[b])
@@ -442,6 +443,8 @@ pub fn predict_free_greedy(
 #[allow(clippy::float_cmp)] // exact assertions are the determinism contract
 mod tests {
     use super::*;
+    use crate::estimate::ipc_rows;
+    use crate::predict::PredictorSet;
     use crate::sense::Features;
 
     fn healthy() -> EpochHealth {
@@ -683,20 +686,32 @@ mod tests {
         let predictors = PredictorSet::train(&platform, 150, 0xDAC_2015);
         let cfg = DegradeConfig::default();
         let mut q = QuarantineTracker::new();
+        let observe = |q: &mut QuarantineTracker, senses: &[ThreadSense]| {
+            q.observe(
+                &platform,
+                senses,
+                &ipc_rows(&platform, senses, &predictors),
+                &cfg,
+            );
+        };
+        // The identity prediction: the sense's own row at its own type.
+        let identity_ips = |s: &ThreadSense| {
+            let src = platform.core_type(s.core);
+            let row = &ipc_rows(&platform, std::slice::from_ref(s), &predictors)[0];
+            row[src.0] * platform.type_config(src).freq_hz
+        };
 
         // A self-consistent sense: measured ips equals the identity
         // prediction, residual ~0 → never quarantined.
         let mut good = sense(0, 0, 0.5);
-        let src = platform.core_type(good.core);
-        let ipc = predictors.predict_ipc(&good.features, src, src);
-        good.measured_ips = ipc * platform.type_config(src).freq_hz;
+        good.measured_ips = identity_ips(&good);
 
         // A corrupted sense: measurement wildly off the prediction.
         let mut bad = sense(1, 1, 0.5);
         bad.measured_ips = 1e3;
 
         for _ in 0..4 {
-            q.observe(&platform, &[good, bad], &predictors, &cfg);
+            observe(&mut q, &[good, bad]);
         }
         assert!(!q.is_quarantined(TaskId(0)));
         assert!(q.is_quarantined(TaskId(1)));
@@ -705,18 +720,16 @@ mod tests {
 
         // Healing: the bad thread starts measuring consistently; the
         // EWMA decays and the quarantine releases.
-        let src1 = platform.core_type(bad.core);
-        let ipc1 = predictors.predict_ipc(&bad.features, src1, src1);
-        bad.measured_ips = ipc1 * platform.type_config(src1).freq_hz;
+        bad.measured_ips = identity_ips(&bad);
         // The EWMA halves each epoch (alpha 0.5); decaying a ~1e6
         // relative residual below the release threshold takes a while.
         for _ in 0..40 {
-            q.observe(&platform, &[good, bad], &predictors, &cfg);
+            observe(&mut q, &[good, bad]);
         }
         assert!(!q.is_quarantined(TaskId(1)), "residual decayed below half");
 
         // Exited threads are forgotten.
-        q.observe(&platform, &[good], &predictors, &cfg);
+        observe(&mut q, &[good]);
         assert_eq!(q.quarantined_count(), 0);
         assert!(!q.is_quarantined(TaskId(1)));
     }

@@ -5,7 +5,7 @@
 
 #![cfg_attr(not(test), deny(clippy::as_conversions))]
 
-use archsim::{CoreTypeId, Platform};
+use archsim::{CoreId, CoreTypeId, Platform};
 use mcpat::CorePowerModel;
 
 use crate::matrices::CharacterizationMatrices;
@@ -29,12 +29,17 @@ pub struct TypeRates {
 }
 
 impl TypeRates {
-    /// Builds the per-type row for one sensed thread: the current
-    /// core's type carries the *measured* values when the sample is
-    /// fresh and sane, every other type the Θ/α predictions of
-    /// Eq. 8–9 (with the same non-finite fallbacks as
-    /// [`build_matrices`] has always applied).
-    pub fn build(platform: &Platform, sense: &ThreadSense, predictors: &PredictorSet) -> Self {
+    /// Builds the per-type row for one sensed thread from its
+    /// [`ipc_rows`] entry: the current core's type carries the
+    /// *measured* values when the sample is fresh and sane, every other
+    /// type the Θ/α predictions of Eq. 8–9 (with the same non-finite
+    /// fallbacks as [`build_matrices`] has always applied).
+    pub fn build(
+        platform: &Platform,
+        sense: &ThreadSense,
+        ipc_row: &[f64],
+        predictors: &PredictorSet,
+    ) -> Self {
         let src_type = platform.core_type(sense.core);
         // Non-finite or non-positive measurements (corrupt sensors that
         // slipped past the sensing stage) fall back to prediction.
@@ -43,20 +48,13 @@ impl TypeRates {
             && sense.measured_ips > 0.0
             && sense.measured_power_w.is_finite()
             && sense.measured_power_w > 0.0;
-        // One shared-inversion prediction row per thread (computed
-        // lazily: an all-measured thread never pays for it), then each
-        // entry is a per-type table lookup.
-        let mut ipc_row: Option<Vec<f64>> = None;
         let cols = platform
             .types()
             .map(|(dst_type, cfg)| {
                 if has_measurement && dst_type == src_type {
                     (sense.measured_ips, sense.measured_power_w.max(1e-6), true)
                 } else {
-                    let row = ipc_row.get_or_insert_with(|| {
-                        predictors.predict_ipc_by_type(&sense.features, src_type)
-                    });
-                    let ipc = row[dst_type.0];
+                    let ipc = ipc_row[dst_type.0];
                     let mut ips = ipc * cfg.freq_hz;
                     if !ips.is_finite() {
                         // A corrupt signature can drive the regression
@@ -85,20 +83,36 @@ impl TypeRates {
     pub fn power_w(&self, t: CoreTypeId) -> f64 {
         self.cols[t.0].1
     }
-
-    /// Whether the type-`t` entry is a measurement (vs a prediction).
-    pub fn is_measured(&self, t: CoreTypeId) -> bool {
-        self.cols[t.0].2
-    }
 }
 
-/// Builds `S(k)` and `P(k)` for the given sensed threads.
+/// Each sensed thread's predicted IPC on every core type, indexed by
+/// `CoreTypeId`: one shared signature inversion per thread
+/// ([`PredictorSet::predict_ipc_by_type`]). These rows are the only IPC
+/// predictions a SmartBalance pass makes — the quarantine audit reads
+/// each row's source-type entry, [`TypeRates::build`] the others.
+pub fn ipc_rows(
+    platform: &Platform,
+    senses: &[ThreadSense],
+    predictors: &PredictorSet,
+) -> Vec<Vec<f64>> {
+    senses
+        .iter()
+        .map(|s| predictors.predict_ipc_by_type(&s.features, platform.core_type(s.core)))
+        .collect()
+}
+
+/// Builds `S(k)` and `P(k)` for the given sensed threads and their
+/// [`ipc_rows`].
 ///
 /// For every thread, columns whose core type equals the thread's
 /// current core type carry the *measured* values (same type ⇒ same
 /// micro-architecture and operating point); every other column is
 /// filled with the Θ/α predictions of Eq. 8–9. Threads whose sample is
 /// stale or a prior fall back to prediction everywhere.
+///
+/// # Panics
+///
+/// Panics if `ipc_rows` does not hold one row per sensed thread.
 ///
 /// # Examples
 ///
@@ -109,36 +123,53 @@ impl TypeRates {
 ///
 /// let platform = Platform::quad_heterogeneous();
 /// let predictors = PredictorSet::train(&platform, 100, 1);
-/// let m = build_matrices(&platform, &[], &predictors);
+/// let m = build_matrices(&platform, &[], &[], &predictors);
 /// assert_eq!(m.num_threads(), 0);
 /// assert_eq!(m.num_cores(), 4);
 /// ```
 pub fn build_matrices(
     platform: &Platform,
     senses: &[ThreadSense],
+    ipc_rows: &[Vec<f64>],
     predictors: &PredictorSet,
 ) -> CharacterizationMatrices {
-    let core_types: Vec<_> = platform.cores().map(|c| platform.core_type(c)).collect();
-    let sleep_power: Vec<f64> = platform
-        .cores()
-        .map(|c| CorePowerModel::calibrated(platform.core_config(c)).sleep_power_w())
+    assert_eq!(ipc_rows.len(), senses.len(), "one IPC row per thread");
+    let cores: Vec<CoreId> = platform.cores().collect();
+    let sleep_power: Vec<f64> = cores
+        .iter()
+        .map(|&c| CorePowerModel::calibrated(platform.core_config(c)).sleep_power_w())
         .collect();
-    let tasks = senses.iter().map(|s| s.task).collect();
-    let mut m = CharacterizationMatrices::new(tasks, core_types.clone(), sleep_power);
+    let rates: Vec<TypeRates> = senses
+        .iter()
+        .zip(ipc_rows)
+        .map(|(s, row)| TypeRates::build(platform, s, row, predictors))
+        .collect();
+    let rows: Vec<(usize, u64)> = senses.iter().map(|s| s.allowed).enumerate().collect();
+    rate_matrices(platform, &cores, &sleep_power, &rows, senses, &rates)
+}
 
-    for (i, sense) in senses.iter().enumerate() {
-        let rates = TypeRates::build(platform, sense, predictors);
-        for (j, &dst_type) in core_types.iter().enumerate() {
-            m.set(
-                i,
-                j,
-                rates.ips(dst_type),
-                rates.power_w(dst_type),
-                rates.is_measured(dst_type),
-            );
+/// Expands per-type rows densely: `S(k)`/`P(k)` over the cores
+/// `columns`, with one row per `(sense index, affinity mask)` in `rows`
+/// read from `rates`. `sleep_power_w` is indexed by global core id.
+pub(crate) fn rate_matrices(
+    platform: &Platform,
+    columns: &[CoreId],
+    sleep_power_w: &[f64],
+    rows: &[(usize, u64)],
+    senses: &[ThreadSense],
+    rates: &[TypeRates],
+) -> CharacterizationMatrices {
+    let core_types: Vec<CoreTypeId> = columns.iter().map(|&c| platform.core_type(c)).collect();
+    let sleep = columns.iter().map(|&c| sleep_power_w[c.0]).collect();
+    let tasks = rows.iter().map(|&(i, _)| senses[i].task).collect();
+    let mut m = CharacterizationMatrices::new(tasks, core_types.clone(), sleep);
+    for (r, &(i, mask)) in rows.iter().enumerate() {
+        for (j, &t) in core_types.iter().enumerate() {
+            let (ips, power_w, measured) = rates[i].cols[t.0];
+            m.set(r, j, ips, power_w, measured);
         }
-        m.set_utilization(i, sense.utilization);
-        m.set_allowed(i, sense.allowed);
+        m.set_utilization(r, senses[i].utilization);
+        m.set_allowed(r, mask);
     }
     m
 }
@@ -150,6 +181,20 @@ mod tests {
     use crate::sense::{features_from_counters, ThreadSense};
     use archsim::{run_slice, CoreId, WorkloadCharacteristics};
     use kernelsim::TaskId;
+
+    /// [`build_matrices`] over freshly predicted rows.
+    fn matrices(
+        platform: &Platform,
+        senses: &[ThreadSense],
+        predictors: &PredictorSet,
+    ) -> CharacterizationMatrices {
+        build_matrices(
+            platform,
+            senses,
+            &ipc_rows(platform, senses, predictors),
+            predictors,
+        )
+    }
 
     fn sense_for(
         platform: &Platform,
@@ -179,7 +224,7 @@ mod tests {
         let predictors = PredictorSet::train(&platform, 200, 3);
         let w = WorkloadCharacteristics::balanced();
         let s = sense_for(&platform, CoreId(1), &w, true);
-        let m = build_matrices(&platform, &[s], &predictors);
+        let m = matrices(&platform, &[s], &predictors);
         assert!(m.is_measured(0, 1), "own core column is measured");
         assert!(!m.is_measured(0, 0));
         assert!(!m.is_measured(0, 3));
@@ -194,7 +239,7 @@ mod tests {
         let predictors = PredictorSet::train(&platform, 200, 3);
         let w = WorkloadCharacteristics::balanced();
         let s = sense_for(&platform, CoreId(1), &w, false);
-        let m = build_matrices(&platform, &[s], &predictors);
+        let m = matrices(&platform, &[s], &predictors);
         for j in 0..4 {
             assert!(!m.is_measured(0, j));
             assert!(m.ips(0, j) > 0.0);
@@ -209,7 +254,7 @@ mod tests {
         let w = WorkloadCharacteristics::balanced();
         let mut s = sense_for(&platform, CoreId(1), &w, true);
         s.measured_ips = f64::NAN;
-        let m = build_matrices(&platform, &[s], &predictors);
+        let m = matrices(&platform, &[s], &predictors);
         assert!(!m.is_measured(0, 1), "NaN measurement is not trusted");
         for j in 0..4 {
             assert!(m.ips(0, j).is_finite());
@@ -218,7 +263,7 @@ mod tests {
         // Zero measured power is equally distrusted.
         s.measured_ips = 1e9;
         s.measured_power_w = 0.0;
-        let m2 = build_matrices(&platform, &[s], &predictors);
+        let m2 = matrices(&platform, &[s], &predictors);
         assert!(!m2.is_measured(0, 1));
     }
 
@@ -230,7 +275,7 @@ mod tests {
         let mut s = sense_for(&platform, CoreId(1), &w, false);
         // An adversarial signature that slipped past validation.
         s.features = [f64::INFINITY; crate::sense::NUM_FEATURES];
-        let m = build_matrices(&platform, &[s], &predictors);
+        let m = matrices(&platform, &[s], &predictors);
         for j in 0..4 {
             assert!(m.ips(0, j).is_finite(), "col {j}");
             assert!(m.power(0, j).is_finite() && m.power(0, j) > 0.0, "col {j}");
@@ -245,7 +290,7 @@ mod tests {
         let predictors = PredictorSet::train(&platform, 400, 3);
         let w = WorkloadCharacteristics::compute_bound();
         let s = sense_for(&platform, CoreId(2), &w, true);
-        let m = build_matrices(&platform, &[s], &predictors);
+        let m = matrices(&platform, &[s], &predictors);
         assert!(
             m.ips(0, 0) > 2.0 * m.ips(0, 2),
             "Huge >> Medium for compute"
@@ -261,7 +306,7 @@ mod tests {
         let predictors = PredictorSet::train(&platform, 200, 4);
         let w = WorkloadCharacteristics::balanced();
         let s = sense_for(&platform, CoreId(5), &w, true); // a little core
-        let m = build_matrices(&platform, &[s], &predictors);
+        let m = matrices(&platform, &[s], &predictors);
         for j in 4..8 {
             assert!(m.is_measured(0, j), "core {j} is same type as source");
             assert_eq!(m.ips(0, j), s.measured_ips);

@@ -98,7 +98,7 @@ pub use degrade::{
     predict_free_greedy, DegradeConfig, DegradeController, DegradeMode, EpochHealth,
     QuarantineTracker,
 };
-pub use estimate::{build_matrices, TypeRates};
+pub use estimate::{build_matrices, ipc_rows, TypeRates};
 pub use matrices::CharacterizationMatrices;
 pub use objective::{Goal, Objective};
 pub use optimal::{exhaustive_best, known_optimum_case, KnownCase};

@@ -28,42 +28,13 @@ use crate::matrices::CharacterizationMatrices;
 /// Scale factor turning instr/s per watt into GIPS/W.
 const GIPS: f64 = 1.0e9;
 
-/// Effective (post-time-sharing) throughput and power of one core given
-/// its demand/rate sums — the free-function form of the per-core model
-/// in the module docs, shared by [`Objective`] and the sharded
-/// balancer's cross-cluster exchange state so both evaluate identical
-/// arithmetic. An empty core (`u_sum <= 0`) sleeps.
-pub fn effective_core_terms(
-    u_sum: f64,
-    ips_sum: f64,
-    pow_sum: f64,
-    sleep_power_w: f64,
-) -> (f64, f64) {
-    if u_sum <= 0.0 {
-        return (0.0, sleep_power_w);
-    }
-    let busy = u_sum.min(1.0);
-    let scale = busy / u_sum;
-    let ips = ips_sum * scale;
-    let power = pow_sum * scale + (1.0 - busy) * sleep_power_w;
-    (ips, power)
-}
-
-/// One core's weighted contribution to the goal aggregates:
-/// `(ω·IPS, ω·P, ω·(IPS/P)/GIPS)`; the ratio term is 0 for an idle or
-/// powerless core.
-pub fn weighted_aggregates(weight: f64, (ips, p): (f64, f64)) -> (f64, f64, f64) {
-    let ratio = if ips <= 0.0 || p <= 0.0 {
-        0.0
-    } else {
-        weight * (ips / p) / GIPS
-    };
-    (weight * ips, weight * p, ratio)
-}
+/// Weighted goal aggregates `(ω·IPS, ω·P, ω·(IPS/P)/GIPS)` — of one
+/// core, or summed over cores.
+type Aggregates = (f64, f64, f64);
 
 /// Combines summed per-core aggregates into the scalar objective for
 /// `goal`.
-pub fn goal_total(goal: Goal, sum_ips: f64, sum_p: f64, sum_ratio: f64) -> f64 {
+fn goal_total(goal: Goal, (sum_ips, sum_p, sum_ratio): Aggregates) -> f64 {
     match goal {
         Goal::EnergyEfficiency => {
             if sum_p <= 0.0 {
@@ -83,6 +54,16 @@ pub fn goal_total(goal: Goal, sum_ips: f64, sum_p: f64, sum_ratio: f64) -> f64 {
             }
         }
     }
+}
+
+/// `a + (new − old)` per aggregate: the patch a core's change applies
+/// to the goal sums.
+fn patched(a: Aggregates, old: Aggregates, new: Aggregates) -> Aggregates {
+    (
+        a.0 + (new.0 - old.0),
+        a.1 + (new.1 - old.1),
+        a.2 + (new.2 - old.2),
+    )
 }
 
 /// Optimization goal (the paper's Eq. 11 plus the alternatives its
@@ -168,47 +149,231 @@ impl<'a> Objective<'a> {
     /// Panics if `alloc.len()` differs from the thread count or any
     /// entry is out of core range.
     pub fn evaluate(&self, alloc: &[usize]) -> f64 {
-        let state = IncrementalObjective::new(self, alloc);
-        state.value()
-    }
-
-    /// Effective (post-time-sharing) throughput and power of core `j`
-    /// given its demand/rate sums; an empty core sleeps.
-    fn core_terms(&self, j: usize, u_sum: f64, ips_sum: f64, pow_sum: f64) -> (f64, f64) {
-        effective_core_terms(u_sum, ips_sum, pow_sum, self.matrices.sleep_power_w(j))
-    }
-
-    /// The per-core contribution of core `j` to the goal-specific
-    /// aggregates: `(w·IPS, w·P, w·ratio)`.
-    fn aggregates_of(&self, j: usize, terms: (f64, f64)) -> (f64, f64, f64) {
-        weighted_aggregates(self.weights[j], terms)
-    }
-
-    /// Combines goal aggregates into the scalar objective.
-    fn total_from(&self, sum_ips: f64, sum_p: f64, sum_ratio: f64) -> f64 {
-        goal_total(self.goal, sum_ips, sum_p, sum_ratio)
+        IncrementalObjective::new(self, alloc).value()
     }
 }
 
-/// Incrementally maintained objective state for a working allocation:
-/// per-core partial sums plus cached per-core values, updated in O(1)
-/// per move instead of O(m·n) per evaluation.
+/// One core's slot in the [`ObjectiveKernel`]: its constants, its
+/// demand/rate sums and their cached weighted aggregates, side by side
+/// so a candidate move reads one contiguous 64-byte slot per core.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct CoreSlot {
+    weight: f64,
+    sleep_w: f64,
+    u_sum: f64,
+    ips_sum: f64,
+    pow_sum: f64,
+    /// The ratio term is computed only under
+    /// [`Goal::PerCoreEfficiencySum`], the one goal that reads it.
+    agg: Aggregates,
+}
+
+impl CoreSlot {
+    /// The weighted aggregates for the given sums: the per-core model
+    /// of the module docs (an empty core sleeps), weighted by `ω`.
+    fn aggregates(&self, goal: Goal, u_sum: f64, ips_sum: f64, pow_sum: f64) -> Aggregates {
+        let (ips, p) = if u_sum <= 0.0 {
+            (0.0, self.sleep_w)
+        } else {
+            let busy = u_sum.min(1.0);
+            let scale = busy / u_sum;
+            (
+                ips_sum * scale,
+                pow_sum * scale + (1.0 - busy) * self.sleep_w,
+            )
+        };
+        let ratio = if goal != Goal::PerCoreEfficiencySum || ips <= 0.0 || p <= 0.0 {
+            0.0
+        } else {
+            self.weight * (ips / p) / GIPS
+        };
+        (self.weight * ips, self.weight * p, ratio)
+    }
+
+    /// The aggregates with a thread of demand `u` running at `(ips, p)`
+    /// added (`u > 0`) or removed (`u < 0`). Negation is exact in IEEE
+    /// arithmetic, so a removal rounds exactly like a subtraction.
+    fn shifted(&self, goal: Goal, u: f64, (ips, p): (f64, f64)) -> Aggregates {
+        self.aggregates(
+            goal,
+            self.u_sum + u,
+            self.ips_sum + u * ips,
+            self.pow_sum + u * p,
+        )
+    }
+
+    /// Adds (`u > 0`) or removes (`u < 0`) a thread's demand and rates.
+    fn shift(&mut self, u: f64, (ips, p): (f64, f64)) {
+        self.u_sum += u;
+        self.ips_sum += u * ips;
+        self.pow_sum += u * p;
+    }
+}
+
+/// The incremental-objective kernel: per-core sums, each core's cached
+/// weighted aggregates and their goal total for one allocation, updated
+/// in O(1) per move. [`IncrementalObjective`] feeds it rates from the
+/// dense matrices, the exchange stage's [`crate::shard::ExchangeState`]
+/// from per-type rows; the arithmetic lives only here.
+///
+/// A move delta is split into a source half ([`Self::lift`], once per
+/// thread) and a destination half ([`Self::delta_onto`], once per
+/// candidate core). The float operations run in the order of a single
+/// two-core patch, so a delta has the same bits however a scan splits
+/// it, and [`Self::commit`] realizes exactly the predicted delta.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ObjectiveKernel {
+    goal: Goal,
+    alloc: Vec<usize>,
+    cores: Vec<CoreSlot>,
+    /// The cores' aggregates summed.
+    sums: Aggregates,
+    total: f64,
+}
+
+/// A thread lifted off its current core: the goal sums with the source
+/// core already patched, the destination-independent half of a delta.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lifted {
+    /// The lifted thread.
+    pub(crate) thread: usize,
+    /// The core the thread sits on.
+    pub(crate) from: usize,
+    u: f64,
+    sums: Aggregates,
+}
+
+impl ObjectiveKernel {
+    /// Builds the kernel for `alloc` (`alloc[i]` = core of thread `i`)
+    /// over one core per `weights`/`sleep_w` entry; `util(i)` is thread
+    /// `i`'s demand and `rate(i, j)` its `(ips, power)` on core `j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` and `sleep_w` differ in length or any
+    /// allocation entry is out of core range.
+    pub(crate) fn new(
+        goal: Goal,
+        weights: &[f64],
+        sleep_w: &[f64],
+        alloc: &[usize],
+        util: impl Fn(usize) -> f64,
+        rate: impl Fn(usize, usize) -> (f64, f64),
+    ) -> Self {
+        assert_eq!(weights.len(), sleep_w.len(), "one ω per core");
+        let mut cores: Vec<CoreSlot> = weights
+            .iter()
+            .zip(sleep_w)
+            .map(|(&weight, &sleep_w)| CoreSlot {
+                weight,
+                sleep_w,
+                ..CoreSlot::default()
+            })
+            .collect();
+        for (i, &j) in alloc.iter().enumerate() {
+            assert!(
+                j < cores.len(),
+                "thread {i} assigned to non-existent core {j}"
+            );
+            cores[j].shift(util(i), rate(i, j));
+        }
+        let mut sums = (0.0, 0.0, 0.0);
+        for c in &mut cores {
+            c.agg = c.aggregates(goal, c.u_sum, c.ips_sum, c.pow_sum);
+            sums = (sums.0 + c.agg.0, sums.1 + c.agg.1, sums.2 + c.agg.2);
+        }
+        let total = goal_total(goal, sums);
+        let alloc = alloc.to_vec();
+        ObjectiveKernel {
+            goal,
+            alloc,
+            cores,
+            sums,
+            total,
+        }
+    }
+
+    /// Current objective value.
+    pub(crate) fn value(&self) -> f64 {
+        self.total
+    }
+
+    /// Current allocation.
+    pub(crate) fn alloc(&self) -> &[usize] {
+        &self.alloc
+    }
+
+    /// Total demand currently placed on core `j`.
+    pub(crate) fn load_of(&self, j: usize) -> f64 {
+        self.cores[j].u_sum
+    }
+
+    /// Lifts thread `i` (demand `u`, running at `rate` on its core).
+    pub(crate) fn lift(&self, i: usize, u: f64, rate: (f64, f64)) -> Lifted {
+        let from = self.alloc[i];
+        let c = &self.cores[from];
+        let sums = patched(self.sums, c.agg, c.shifted(self.goal, -u, rate));
+        Lifted {
+            thread: i,
+            from,
+            u,
+            sums,
+        }
+    }
+
+    /// The objective delta if the lifted thread moved onto core `to`,
+    /// running there at `rate` (no state change); 0 for its own core.
+    pub(crate) fn delta_onto(&self, lifted: &Lifted, to: usize, rate: (f64, f64)) -> f64 {
+        if to == lifted.from {
+            return 0.0;
+        }
+        let c = &self.cores[to];
+        let new = c.shifted(self.goal, lifted.u, rate);
+        goal_total(self.goal, patched(lifted.sums, c.agg, new)) - self.total
+    }
+
+    /// Moves thread `i` (demand `u`) from its core, where it runs at
+    /// `from_rate`, to core `to`, where it runs at `to_rate`; returns
+    /// the realized delta.
+    pub(crate) fn commit(
+        &mut self,
+        i: usize,
+        to: usize,
+        u: f64,
+        from_rate: (f64, f64),
+        to_rate: (f64, f64),
+    ) -> f64 {
+        let from = self.alloc[i];
+        if from == to {
+            return 0.0;
+        }
+        for (j, u, rate) in [(from, -u, from_rate), (to, u, to_rate)] {
+            let c = &mut self.cores[j];
+            let new = c.shifted(self.goal, u, rate);
+            self.sums = patched(self.sums, c.agg, new);
+            c.shift(u, rate);
+            c.agg = new;
+        }
+        self.alloc[i] = to;
+        let total = goal_total(self.goal, self.sums);
+        let delta = total - self.total;
+        self.total = total;
+        delta
+    }
+}
+
+/// Thread `i`'s `(ips, power)` on core `j` in the dense matrices.
+fn rate(m: &CharacterizationMatrices, i: usize, j: usize) -> (f64, f64) {
+    (m.ips(i, j), m.power(i, j))
+}
+
+/// Incrementally maintained objective state for a working allocation
+/// over the dense matrices: the crate's incremental-objective kernel
+/// fed by `S(k)`, `P(k)` and `U` lookups, updated in O(1) per move.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncrementalObjective<'a, 'b> {
     objective: &'b Objective<'a>,
-    alloc: Vec<usize>,
-    u_sum: Vec<f64>,
-    ips_sum: Vec<f64>,
-    pow_sum: Vec<f64>,
-    /// Cached effective (IPS, power) per core.
-    core_terms: Vec<(f64, f64)>,
-    /// Weighted ΣIPS across cores.
-    sum_ips: f64,
-    /// Weighted ΣP across cores.
-    sum_p: f64,
-    /// Weighted Σ(IPS/P) across cores (Eq. 11 aggregate).
-    sum_ratio: f64,
-    total: f64,
+    kernel: ObjectiveKernel,
 }
 
 impl<'a, 'b> IncrementalObjective<'a, 'b> {
@@ -221,50 +386,33 @@ impl<'a, 'b> IncrementalObjective<'a, 'b> {
     pub fn new(objective: &'b Objective<'a>, alloc: &[usize]) -> Self {
         let m = objective.matrices;
         assert_eq!(alloc.len(), m.num_threads(), "one core per thread");
-        let n = m.num_cores();
-        let mut u_sum = vec![0.0; n];
-        let mut ips_sum = vec![0.0; n];
-        let mut pow_sum = vec![0.0; n];
-        for (i, &j) in alloc.iter().enumerate() {
-            assert!(j < n, "thread {i} assigned to non-existent core {j}");
-            let u = m.utilization(i);
-            u_sum[j] += u;
-            ips_sum[j] += u * m.ips(i, j);
-            pow_sum[j] += u * m.power(i, j);
-        }
-        let core_terms: Vec<(f64, f64)> = (0..n)
-            .map(|j| objective.core_terms(j, u_sum[j], ips_sum[j], pow_sum[j]))
-            .collect();
-        let (mut sum_ips, mut sum_p, mut sum_ratio) = (0.0, 0.0, 0.0);
-        for (j, &t) in core_terms.iter().enumerate() {
-            let (i, p, r) = objective.aggregates_of(j, t);
-            sum_ips += i;
-            sum_p += p;
-            sum_ratio += r;
-        }
-        let total = objective.total_from(sum_ips, sum_p, sum_ratio);
-        IncrementalObjective {
-            objective,
-            alloc: alloc.to_vec(),
-            u_sum,
-            ips_sum,
-            pow_sum,
-            core_terms,
-            sum_ips,
-            sum_p,
-            sum_ratio,
-            total,
-        }
+        let sleep_w: Vec<f64> = (0..m.num_cores()).map(|j| m.sleep_power_w(j)).collect();
+        let kernel = ObjectiveKernel::new(
+            objective.goal,
+            &objective.weights,
+            &sleep_w,
+            alloc,
+            |i| m.utilization(i),
+            |i, j| rate(m, i, j),
+        );
+        IncrementalObjective { objective, kernel }
     }
 
     /// Current objective value.
     pub fn value(&self) -> f64 {
-        self.total
+        self.kernel.value()
     }
 
     /// Current allocation.
     pub fn alloc(&self) -> &[usize] {
-        &self.alloc
+        self.kernel.alloc()
+    }
+
+    /// Thread `i` lifted off its current core.
+    fn lift(&self, i: usize) -> Lifted {
+        let m = self.objective.matrices;
+        let from = self.kernel.alloc()[i];
+        self.kernel.lift(i, m.utilization(i), rate(m, i, from))
     }
 
     /// The objective delta if thread `i` moved to core `to` (no state
@@ -274,72 +422,41 @@ impl<'a, 'b> IncrementalObjective<'a, 'b> {
     ///
     /// Panics if `i` or `to` is out of range.
     pub fn delta_for_move(&self, i: usize, to: usize) -> f64 {
-        let from = self.alloc[i];
-        if from == to {
-            return 0.0;
-        }
         let m = self.objective.matrices;
-        let u = m.utilization(i);
-        let new_from = self.objective.core_terms(
-            from,
-            self.u_sum[from] - u,
-            self.ips_sum[from] - u * m.ips(i, from),
-            self.pow_sum[from] - u * m.power(i, from),
-        );
-        let new_to = self.objective.core_terms(
-            to,
-            self.u_sum[to] + u,
-            self.ips_sum[to] + u * m.ips(i, to),
-            self.pow_sum[to] + u * m.power(i, to),
-        );
-        // O(1): patch the three goal aggregates for the two cores.
-        let (mut s_ips, mut s_p, mut s_r) = (self.sum_ips, self.sum_p, self.sum_ratio);
-        for (j, old, new) in [
-            (from, self.core_terms[from], new_from),
-            (to, self.core_terms[to], new_to),
-        ] {
-            let (oi, op, or) = self.objective.aggregates_of(j, old);
-            let (ni, np, nr) = self.objective.aggregates_of(j, new);
-            s_ips += ni - oi;
-            s_p += np - op;
-            s_r += nr - or;
+        self.kernel.delta_onto(&self.lift(i), to, rate(m, i, to))
+    }
+
+    /// Thread `i`'s best single move: the allowed core other than its
+    /// own with the largest delta above `floor` (the lowest index on a
+    /// tie) and that delta, or `None` when no move beats `floor`. One
+    /// source-core patch serves the whole row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn best_move(&self, i: usize, floor: f64) -> Option<(usize, f64)> {
+        let m = self.objective.matrices;
+        let lifted = self.lift(i);
+        let mut best = None;
+        let mut best_delta = floor;
+        for j in (0..m.num_cores()).filter(|&j| j != lifted.from && m.is_allowed(i, j)) {
+            let d = self.kernel.delta_onto(&lifted, j, rate(m, i, j));
+            if d > best_delta {
+                best_delta = d;
+                best = Some(j);
+            }
         }
-        self.objective.total_from(s_ips, s_p, s_r) - self.total
+        best.map(|j| (j, best_delta))
     }
 
     /// Commits the move of thread `i` to core `to`, returning the
-    /// realized delta.
+    /// realized delta (bit-equal to [`Self::delta_for_move`]'s).
     pub fn commit_move(&mut self, i: usize, to: usize) -> f64 {
-        let from = self.alloc[i];
-        if from == to {
-            return 0.0;
-        }
         let m = self.objective.matrices;
+        let from = self.kernel.alloc()[i];
         let u = m.utilization(i);
-        self.u_sum[from] -= u;
-        self.ips_sum[from] -= u * m.ips(i, from);
-        self.pow_sum[from] -= u * m.power(i, from);
-        self.u_sum[to] += u;
-        self.ips_sum[to] += u * m.ips(i, to);
-        self.pow_sum[to] += u * m.power(i, to);
-        self.alloc[i] = to;
-        for j in [from, to] {
-            let new = self
-                .objective
-                .core_terms(j, self.u_sum[j], self.ips_sum[j], self.pow_sum[j]);
-            let (oi, op, or) = self.objective.aggregates_of(j, self.core_terms[j]);
-            let (ni, np, nr) = self.objective.aggregates_of(j, new);
-            self.sum_ips += ni - oi;
-            self.sum_p += np - op;
-            self.sum_ratio += nr - or;
-            self.core_terms[j] = new;
-        }
-        let new_total = self
-            .objective
-            .total_from(self.sum_ips, self.sum_p, self.sum_ratio);
-        let delta = new_total - self.total;
-        self.total = new_total;
-        delta
+        self.kernel
+            .commit(i, to, u, rate(m, i, from), rate(m, i, to))
     }
 }
 
@@ -457,13 +574,7 @@ mod tests {
     #[test]
     fn incremental_matches_full_evaluation() {
         let m = simple();
-        for goal in [
-            Goal::EnergyEfficiency,
-            Goal::PerCoreEfficiencySum,
-            Goal::Throughput,
-            Goal::MinPower,
-            Goal::EnergyDelayProduct,
-        ] {
+        for goal in ALL_GOALS {
             let obj = Objective::new(&m, goal);
             let mut state = IncrementalObjective::new(&obj, &[0, 0]);
             let moves = [(0, 1), (1, 1), (0, 0), (1, 0), (0, 1)];
@@ -479,6 +590,108 @@ mod tests {
                     state.value()
                 );
                 assert!((state.value() - before - realized).abs() < 1e-12);
+            }
+        }
+    }
+
+    const ALL_GOALS: [Goal; 5] = [
+        Goal::EnergyEfficiency,
+        Goal::PerCoreEfficiencySum,
+        Goal::Throughput,
+        Goal::MinPower,
+        Goal::EnergyDelayProduct,
+    ];
+
+    /// Deterministic uniform draws in `[0, 1)` from a splitmix64 stream.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> f64 {
+            self.0 += 1;
+            (crate::suite::splitmix64(self.0) >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            ((self.next() * n as f64) as usize).min(n - 1)
+        }
+    }
+
+    /// Random `m × n` matrices with utilizations that oversubscribe
+    /// some cores, idle-leaning sleep powers and affinity masks that
+    /// forbid about a third of the cells.
+    fn random_matrices(d: &mut Draws, m: usize, n: usize) -> CharacterizationMatrices {
+        let mut mx = CharacterizationMatrices::new(
+            (0..m).map(TaskId).collect(),
+            (0..n).map(CoreTypeId).collect(),
+            (0..n).map(|_| 0.005 + 0.2 * d.next()).collect(),
+        );
+        for i in 0..m {
+            for j in 0..n {
+                mx.set(i, j, 4.0e9 * d.next(), 0.05 + 4.0 * d.next(), false);
+            }
+            mx.set_utilization(i, 0.05 + d.next());
+            let mask = (0..n).fold(0u64, |mk, j| if d.next() < 0.66 { mk | 1 << j } else { mk });
+            mx.set_allowed(i, mask);
+        }
+        mx
+    }
+
+    /// The split-delta kernel against brute force, for every goal with
+    /// and without weights: `best_move` is the argmax of
+    /// `delta_for_move` over the allowed cores (lowest index on a tie,
+    /// bit-equal delta), and every commit realizes exactly the delta it
+    /// was predicted at.
+    #[test]
+    fn best_move_and_commit_match_brute_force_bitwise() {
+        let (m, n) = (9, 6);
+        for seed in 0..12u64 {
+            let mut d = Draws(seed << 32);
+            let mx = random_matrices(&mut d, m, n);
+            let weights: Vec<f64> = (0..n)
+                .map(|j| if j == 0 { 0.0 } else { 2.0 * d.next() })
+                .collect();
+            let alloc: Vec<usize> = (0..m).map(|_| d.below(n)).collect();
+            for goal in ALL_GOALS {
+                for weighted in [false, true] {
+                    let mut obj = Objective::new(&mx, goal);
+                    if weighted {
+                        obj = obj.with_weights(weights.clone());
+                    }
+                    let mut state = IncrementalObjective::new(&obj, &alloc);
+                    for step in 0..40 {
+                        let i = d.below(m);
+                        for floor in [f64::NEG_INFINITY, 0.0, 1.0e-12] {
+                            let cur = state.alloc()[i];
+                            let mut brute: Option<(usize, f64)> = None;
+                            for j in (0..n).filter(|&j| j != cur && mx.is_allowed(i, j)) {
+                                let delta = state.delta_for_move(i, j);
+                                if delta > brute.map_or(floor, |(_, b)| b) {
+                                    brute = Some((j, delta));
+                                }
+                            }
+                            let got = state.best_move(i, floor);
+                            assert_eq!(
+                                got.map(|(j, d)| (j, d.to_bits())),
+                                brute.map(|(j, d)| (j, d.to_bits())),
+                                "{goal:?} weighted={weighted} seed {seed} step {step} floor {floor}"
+                            );
+                        }
+                        let to = d.below(n);
+                        let predicted = state.delta_for_move(i, to);
+                        let realized = state.commit_move(i, to);
+                        assert_eq!(
+                            predicted.to_bits(),
+                            realized.to_bits(),
+                            "{goal:?} weighted={weighted} seed {seed} step {step}"
+                        );
+                    }
+                    let full = obj.evaluate(state.alloc());
+                    assert!(
+                        (state.value() - full).abs() <= 1e-9 * full.abs().max(1.0),
+                        "{goal:?}: incremental {} drifted from full {full}",
+                        state.value()
+                    );
+                }
             }
         }
     }

@@ -588,22 +588,33 @@ mod tests {
         }
     }
 
+    /// The row form is bit-identical to single calls, with the full
+    /// counter set and with sparse sensing (the quarantine audit reads
+    /// the row's source entry in both modes).
     #[test]
     fn row_prediction_matches_single_calls_bitwise() {
-        let (platform, pred) = trained();
-        let w = WorkloadCharacteristics::memory_bound();
-        let src_cfg = platform.type_config(CoreTypeId(2));
-        let slice = run_slice(&w, src_cfg, TRAIN_SLICE_NS);
-        let feats = features_from_counters(&slice.counters, src_cfg.freq_hz);
-        let row = pred.predict_ipc_by_type(&feats, CoreTypeId(2));
-        assert_eq!(row.len(), 4);
-        for (d, &ipc) in row.iter().enumerate() {
-            let single = pred.predict_ipc(&feats, CoreTypeId(2), CoreTypeId(d));
-            assert_eq!(
-                single.to_bits(),
-                ipc.to_bits(),
-                "shared-inversion row must be bit-identical (dst {d})"
-            );
+        let platform = Platform::quad_heterogeneous();
+        for sparse in [false, true] {
+            let pred = PredictorSet::train_with_sparsity(&platform, 400, 2024, sparse);
+            for (src, w) in [
+                (2, WorkloadCharacteristics::memory_bound()),
+                (0, WorkloadCharacteristics::compute_bound()),
+            ] {
+                let src_cfg = platform.type_config(CoreTypeId(src));
+                let slice = run_slice(&w, src_cfg, TRAIN_SLICE_NS);
+                let feats = features_from_counters(&slice.counters, src_cfg.freq_hz);
+                let row = pred.predict_ipc_by_type(&feats, CoreTypeId(src));
+                assert_eq!(row.len(), 4);
+                for (d, &ipc) in row.iter().enumerate() {
+                    let single = pred.predict_ipc(&feats, CoreTypeId(src), CoreTypeId(d));
+                    assert_eq!(
+                        single.to_bits(),
+                        ipc.to_bits(),
+                        "shared-inversion row must be bit-identical \
+                         (sparse {sparse}, src {src}, dst {d})"
+                    );
+                }
+            }
         }
     }
 

@@ -9,17 +9,15 @@
 //! candidate threads between clusters. The exchange never rebuilds the
 //! dense matrices — it works on the compact per-type rows of
 //! [`crate::estimate::TypeRates`] and evaluates every candidate move as
-//! an O(1) two-core patch through the same free functions
-//! ([`crate::objective::effective_core_terms`],
-//! [`crate::objective::weighted_aggregates`],
-//! [`crate::objective::goal_total`]) the flat objective is built from,
-//! so the two paths share one source of numeric truth.
+//! an O(1) two-core patch through the same incremental-objective kernel
+//! the flat [`crate::objective::IncrementalObjective`] wraps, so the two
+//! paths share one source of numeric truth.
 
 use archsim::CoreTypeId;
 use serde::{Deserialize, Serialize};
 
 use crate::estimate::TypeRates;
-use crate::objective::{effective_core_terms, goal_total, weighted_aggregates, Goal};
+use crate::objective::{Goal, Lifted, ObjectiveKernel};
 
 /// Configuration of the sharded balancer: worker pool for the
 /// per-cluster anneal fan-out and the global-exchange budget.
@@ -38,8 +36,11 @@ pub struct ShardConfig {
     /// considers per round (the highest-gain moves first).
     pub exchange_top_k: usize,
     /// Maximum exchange rounds per epoch; the stage stops early the
-    /// first round that commits no move. Bounds per-epoch exchange
-    /// work at `rounds × top_k × clusters` O(1) evaluations.
+    /// first round that commits no move. Each round scores every
+    /// movable thread against every other cluster's least-loaded core,
+    /// so per-epoch scoring costs up to `rounds × m × (clusters − 1)`
+    /// O(1) evaluations, plus `(clusters − 1)` more for each of the at
+    /// most `top_k × clusters` candidates rescored per round.
     pub exchange_rounds: usize,
     /// Minimum objective gain (in goal units, e.g. GIPS/W) a
     /// cross-cluster move must deliver to commit.
@@ -66,34 +67,20 @@ pub(crate) fn mask_allows(mask: u64, j: usize) -> bool {
 }
 
 /// Incrementally maintained *global* objective state for the exchange
-/// stage: per-core demand/rate sums over all `n` cores, fed by compact
-/// per-type thread rows instead of dense matrices. The arithmetic is
-/// the twin of [`crate::objective::IncrementalObjective`] — same
-/// per-core model, same goal combination, O(1) per candidate move.
+/// stage over all `n` cores: the [`ObjectiveKernel`] fed by compact
+/// per-type thread rows and the cores' types instead of dense matrices.
 #[derive(Debug, Clone)]
 pub(crate) struct ExchangeState<'a> {
-    goal: Goal,
     rates: &'a [TypeRates],
     util: &'a [f64],
     types: &'a [CoreTypeId],
-    sleep_w: &'a [f64],
-    weights: Vec<f64>,
-    alloc: Vec<usize>,
-    u_sum: Vec<f64>,
-    ips_sum: Vec<f64>,
-    pow_sum: Vec<f64>,
-    /// Cached effective (IPS, power) per core.
-    terms: Vec<(f64, f64)>,
-    sum_ips: f64,
-    sum_p: f64,
-    sum_ratio: f64,
-    total: f64,
+    kernel: ObjectiveKernel,
 }
 
 impl<'a> ExchangeState<'a> {
     /// Builds the state for `alloc` (`alloc[i]` = global core index of
     /// thread `i`). `util` must already carry the matrices' `(0, 1]`
-    /// clamp; `weights` of `None` means all ones.
+    /// clamp; `weights` holds one `ω` per core.
     ///
     /// # Panics
     ///
@@ -104,143 +91,70 @@ impl<'a> ExchangeState<'a> {
         rates: &'a [TypeRates],
         util: &'a [f64],
         types: &'a [CoreTypeId],
-        sleep_w: &'a [f64],
-        weights: Option<Vec<f64>>,
+        sleep_w: &[f64],
+        weights: &[f64],
         alloc: &[usize],
     ) -> Self {
-        let m = rates.len();
-        let n = types.len();
-        assert_eq!(util.len(), m, "one utilization per thread");
-        assert_eq!(alloc.len(), m, "one core per thread");
-        assert_eq!(sleep_w.len(), n, "one sleep power per core");
-        let weights = weights.unwrap_or_else(|| vec![1.0; n]);
-        assert_eq!(weights.len(), n, "one ω per core");
-        let mut u_sum = vec![0.0; n];
-        let mut ips_sum = vec![0.0; n];
-        let mut pow_sum = vec![0.0; n];
-        for (i, &j) in alloc.iter().enumerate() {
-            assert!(j < n, "thread {i} assigned to non-existent core {j}");
-            let t = types[j];
-            let u = util[i];
-            u_sum[j] += u;
-            ips_sum[j] += u * rates[i].ips(t);
-            pow_sum[j] += u * rates[i].power_w(t);
-        }
-        let terms: Vec<(f64, f64)> = (0..n)
-            .map(|j| effective_core_terms(u_sum[j], ips_sum[j], pow_sum[j], sleep_w[j]))
-            .collect();
-        let (mut sum_ips, mut sum_p, mut sum_ratio) = (0.0, 0.0, 0.0);
-        for (j, &t) in terms.iter().enumerate() {
-            let (i, p, r) = weighted_aggregates(weights[j], t);
-            sum_ips += i;
-            sum_p += p;
-            sum_ratio += r;
-        }
-        let total = goal_total(goal, sum_ips, sum_p, sum_ratio);
-        ExchangeState {
+        assert_eq!(util.len(), rates.len(), "one utilization per thread");
+        assert_eq!(alloc.len(), rates.len(), "one core per thread");
+        assert_eq!(sleep_w.len(), types.len(), "one sleep power per core");
+        let kernel = ObjectiveKernel::new(
             goal,
+            weights,
+            sleep_w,
+            alloc,
+            |i| util[i],
+            |i, j| (rates[i].ips(types[j]), rates[i].power_w(types[j])),
+        );
+        ExchangeState {
             rates,
             util,
             types,
-            sleep_w,
-            weights,
-            alloc: alloc.to_vec(),
-            u_sum,
-            ips_sum,
-            pow_sum,
-            terms,
-            sum_ips,
-            sum_p,
-            sum_ratio,
-            total,
+            kernel,
         }
+    }
+
+    /// Thread `i`'s `(ips, power)` on core `j`.
+    fn rate(&self, i: usize, j: usize) -> (f64, f64) {
+        let t = self.types[j];
+        (self.rates[i].ips(t), self.rates[i].power_w(t))
     }
 
     /// Current global objective value.
     pub(crate) fn value(&self) -> f64 {
-        self.total
+        self.kernel.value()
     }
 
     /// The core thread `i` currently sits on.
     pub(crate) fn core_of(&self, i: usize) -> usize {
-        self.alloc[i]
+        self.kernel.alloc()[i]
     }
 
     /// Total demand currently placed on core `j`.
     pub(crate) fn load_of(&self, j: usize) -> f64 {
-        self.u_sum[j]
+        self.kernel.load_of(j)
     }
 
-    /// The objective delta if thread `i` moved to core `to` (no state
-    /// change); 0 for a self-move.
-    pub(crate) fn delta_for_move(&self, i: usize, to: usize) -> f64 {
-        let from = self.alloc[i];
-        if from == to {
-            return 0.0;
-        }
-        let u = self.util[i];
-        let (tf, tt) = (self.types[from], self.types[to]);
-        let new_from = effective_core_terms(
-            self.u_sum[from] - u,
-            self.ips_sum[from] - u * self.rates[i].ips(tf),
-            self.pow_sum[from] - u * self.rates[i].power_w(tf),
-            self.sleep_w[from],
-        );
-        let new_to = effective_core_terms(
-            self.u_sum[to] + u,
-            self.ips_sum[to] + u * self.rates[i].ips(tt),
-            self.pow_sum[to] + u * self.rates[i].power_w(tt),
-            self.sleep_w[to],
-        );
-        // O(1): patch the three goal aggregates for the two cores.
-        let (mut s_ips, mut s_p, mut s_r) = (self.sum_ips, self.sum_p, self.sum_ratio);
-        for (j, old, new) in [
-            (from, self.terms[from], new_from),
-            (to, self.terms[to], new_to),
-        ] {
-            let (oi, op, or) = weighted_aggregates(self.weights[j], old);
-            let (ni, np, nr) = weighted_aggregates(self.weights[j], new);
-            s_ips += ni - oi;
-            s_p += np - op;
-            s_r += nr - or;
-        }
-        goal_total(self.goal, s_ips, s_p, s_r) - self.total
+    /// Thread `i` lifted off its current core, to score several
+    /// destinations with [`Self::delta_onto`].
+    pub(crate) fn lift(&self, i: usize) -> Lifted {
+        self.kernel
+            .lift(i, self.util[i], self.rate(i, self.core_of(i)))
+    }
+
+    /// The objective delta if the lifted thread moved to core `to` (no
+    /// state change); 0 for a self-move.
+    pub(crate) fn delta_onto(&self, lifted: &Lifted, to: usize) -> f64 {
+        self.kernel
+            .delta_onto(lifted, to, self.rate(lifted.thread, to))
     }
 
     /// Commits the move of thread `i` to core `to`, returning the
     /// realized delta.
     pub(crate) fn commit_move(&mut self, i: usize, to: usize) -> f64 {
-        let from = self.alloc[i];
-        if from == to {
-            return 0.0;
-        }
-        let u = self.util[i];
-        let (tf, tt) = (self.types[from], self.types[to]);
-        self.u_sum[from] -= u;
-        self.ips_sum[from] -= u * self.rates[i].ips(tf);
-        self.pow_sum[from] -= u * self.rates[i].power_w(tf);
-        self.u_sum[to] += u;
-        self.ips_sum[to] += u * self.rates[i].ips(tt);
-        self.pow_sum[to] += u * self.rates[i].power_w(tt);
-        self.alloc[i] = to;
-        for j in [from, to] {
-            let new = effective_core_terms(
-                self.u_sum[j],
-                self.ips_sum[j],
-                self.pow_sum[j],
-                self.sleep_w[j],
-            );
-            let (oi, op, or) = weighted_aggregates(self.weights[j], self.terms[j]);
-            let (ni, np, nr) = weighted_aggregates(self.weights[j], new);
-            self.sum_ips += ni - oi;
-            self.sum_p += np - op;
-            self.sum_ratio += nr - or;
-            self.terms[j] = new;
-        }
-        let new_total = goal_total(self.goal, self.sum_ips, self.sum_p, self.sum_ratio);
-        let delta = new_total - self.total;
-        self.total = new_total;
-        delta
+        let from_rate = self.rate(i, self.core_of(i));
+        let to_rate = self.rate(i, to);
+        self.kernel.commit(i, to, self.util[i], from_rate, to_rate)
     }
 }
 
@@ -272,36 +186,55 @@ mod tests {
         }
     }
 
-    /// The exchange state and the dense incremental objective are two
-    /// representations of the same function: identical totals and
-    /// identical deltas for every goal, on every move.
-    #[test]
-    fn exchange_state_matches_dense_incremental_objective() {
+    /// One thread per core of the quad platform, built both ways: the
+    /// dense matrices and the compact exchange inputs.
+    struct Fixture {
+        matrices: CharacterizationMatrices,
+        rates: Vec<TypeRates>,
+        util: Vec<f64>,
+        types: Vec<CoreTypeId>,
+        sleep: Vec<f64>,
+    }
+
+    fn fixture(workload: impl Fn(CoreId) -> WorkloadCharacteristics) -> Fixture {
         let platform = Platform::quad_heterogeneous();
         let predictors = PredictorSet::train(&platform, 200, 9);
         let senses: Vec<ThreadSense> = platform
             .cores()
-            .map(|c| {
-                let w = if c.0 % 2 == 0 {
-                    WorkloadCharacteristics::compute_bound()
-                } else {
-                    WorkloadCharacteristics::memory_bound()
-                };
-                sense_for(&platform, c, &w)
-            })
+            .map(|c| sense_for(&platform, c, &workload(c)))
             .collect();
-        let matrices = crate::estimate::build_matrices(&platform, &senses, &predictors);
-        let rates: Vec<TypeRates> = senses
+        let rows = crate::estimate::ipc_rows(&platform, &senses, &predictors);
+        let matrices = crate::estimate::build_matrices(&platform, &senses, &rows, &predictors);
+        let rates = senses
             .iter()
-            .map(|s| TypeRates::build(&platform, s, &predictors))
+            .zip(&rows)
+            .map(|(s, row)| TypeRates::build(&platform, s, row, &predictors))
             .collect();
-        let util: Vec<f64> = (0..senses.len()).map(|i| matrices.utilization(i)).collect();
-        let types: Vec<CoreTypeId> = platform.cores().map(|c| platform.core_type(c)).collect();
-        let sleep: Vec<f64> = platform
-            .cores()
-            .map(|c| CorePowerModel::calibrated(platform.core_config(c)).sleep_power_w())
-            .collect();
-        let initial: Vec<usize> = senses.iter().map(|s| s.core.0).collect();
+        Fixture {
+            util: (0..senses.len()).map(|i| matrices.utilization(i)).collect(),
+            types: platform.cores().map(|c| platform.core_type(c)).collect(),
+            sleep: platform
+                .cores()
+                .map(|c| CorePowerModel::calibrated(platform.core_config(c)).sleep_power_w())
+                .collect(),
+            matrices,
+            rates,
+        }
+    }
+
+    /// The exchange state and the dense incremental objective are two
+    /// views of one kernel: bit-identical totals and deltas for every
+    /// goal, on every move.
+    #[test]
+    fn exchange_state_matches_dense_incremental_objective() {
+        let f = fixture(|c| {
+            if c.0 % 2 == 0 {
+                WorkloadCharacteristics::compute_bound()
+            } else {
+                WorkloadCharacteristics::memory_bound()
+            }
+        });
+        let initial: Vec<usize> = (0..4).collect();
         let moves = [(0usize, 3usize), (1, 3), (2, 0), (0, 1), (3, 2)];
         for goal in [
             Goal::EnergyEfficiency,
@@ -310,22 +243,29 @@ mod tests {
             Goal::MinPower,
             Goal::EnergyDelayProduct,
         ] {
-            let objective = Objective::new(&matrices, goal);
+            let objective = Objective::new(&f.matrices, goal);
             let mut dense = IncrementalObjective::new(&objective, &initial);
-            let mut compact =
-                ExchangeState::new(goal, &rates, &util, &types, &sleep, None, &initial);
-            assert!(
-                (dense.value() - compact.value()).abs() < 1e-12,
+            let mut compact = ExchangeState::new(
+                goal, &f.rates, &f.util, &f.types, &f.sleep, &[1.0; 4], &initial,
+            );
+            assert_eq!(
+                dense.value().to_bits(),
+                compact.value().to_bits(),
                 "{goal:?}: initial totals diverge"
             );
             for (i, to) in moves {
                 let dd = dense.delta_for_move(i, to);
-                let cd = compact.delta_for_move(i, to);
-                assert!((dd - cd).abs() < 1e-12, "{goal:?}: move ({i},{to}) delta");
+                let cd = compact.delta_onto(&compact.lift(i), to);
+                assert_eq!(
+                    dd.to_bits(),
+                    cd.to_bits(),
+                    "{goal:?}: move ({i},{to}) delta"
+                );
                 dense.commit_move(i, to);
                 compact.commit_move(i, to);
-                assert!(
-                    (dense.value() - compact.value()).abs() < 1e-12,
+                assert_eq!(
+                    dense.value().to_bits(),
+                    compact.value().to_bits(),
                     "{goal:?}: totals diverge after ({i},{to})"
                 );
                 assert_eq!(dense.alloc()[i], compact.core_of(i));
@@ -335,38 +275,22 @@ mod tests {
 
     #[test]
     fn weighted_exchange_state_matches_weighted_objective() {
-        let platform = Platform::quad_heterogeneous();
-        let predictors = PredictorSet::train(&platform, 200, 9);
-        let senses: Vec<ThreadSense> = platform
-            .cores()
-            .map(|c| sense_for(&platform, c, &WorkloadCharacteristics::balanced()))
-            .collect();
-        let matrices = crate::estimate::build_matrices(&platform, &senses, &predictors);
-        let rates: Vec<TypeRates> = senses
-            .iter()
-            .map(|s| TypeRates::build(&platform, s, &predictors))
-            .collect();
-        let util: Vec<f64> = (0..senses.len()).map(|i| matrices.utilization(i)).collect();
-        let types: Vec<CoreTypeId> = platform.cores().map(|c| platform.core_type(c)).collect();
-        let sleep: Vec<f64> = platform
-            .cores()
-            .map(|c| CorePowerModel::calibrated(platform.core_config(c)).sleep_power_w())
-            .collect();
+        let f = fixture(|_| WorkloadCharacteristics::balanced());
         let weights = vec![2.0, 1.0, 0.5, 0.05];
         let initial = vec![0, 0, 2, 3];
         let objective =
-            Objective::new(&matrices, Goal::EnergyEfficiency).with_weights(weights.clone());
+            Objective::new(&f.matrices, Goal::EnergyEfficiency).with_weights(weights.clone());
         let dense = IncrementalObjective::new(&objective, &initial);
         let compact = ExchangeState::new(
             Goal::EnergyEfficiency,
-            &rates,
-            &util,
-            &types,
-            &sleep,
-            Some(weights),
+            &f.rates,
+            &f.util,
+            &f.types,
+            &f.sleep,
+            &weights,
             &initial,
         );
-        assert!((dense.value() - compact.value()).abs() < 1e-12);
+        assert_eq!(dense.value().to_bits(), compact.value().to_bits());
     }
 
     #[test]

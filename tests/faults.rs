@@ -14,10 +14,10 @@ use archsim::{
     CoreId, CounterSample, FaultClass, FaultKind, FaultPlan, FaultySensorBank, Platform,
     SensorBank, SensorInterface,
 };
-use kernelsim::{MigrationReject, System, SystemConfig};
+use kernelsim::{LoadBalancer, MigrationReject, System, SystemConfig, TaskId};
 use smartbalance::{
-    DegradeConfig, DegradeMode, Policy, ShardConfig, SmartBalance, SmartBalanceConfig,
-    VanillaBalancer,
+    DegradeConfig, DegradeMode, Policy, ShardConfig, ShardedBalancer, SmartBalance,
+    SmartBalanceConfig, VanillaBalancer,
 };
 use workloads::SyntheticGenerator;
 
@@ -369,4 +369,82 @@ fn acceptance_chaos_scenario_retains_efficiency() {
         DegradeMode::Full,
         "healed sensing must recover the full loop"
     );
+}
+
+/// Runs a mixed workload with noisy counter banks on the `noisy` cores
+/// and checks the quarantine contract every epoch: while the loop is at
+/// `Full`, a thread the tracker distrusts is not moved by that epoch's
+/// decision. `view` reads the policy's rung and quarantined threads.
+/// Returns how many (epoch, quarantined thread) pairs were checked and
+/// how many migrations the run made.
+fn quarantined_threads_stay_put<B: LoadBalancer>(
+    platform: &Platform,
+    policy: &mut B,
+    noisy: &[usize],
+    tasks: usize,
+    view: impl Fn(&B) -> (DegradeMode, Vec<TaskId>),
+) -> (usize, u64) {
+    let mut sys = System::new(platform.clone(), SystemConfig::default());
+    let plan = noisy.iter().fold(FaultPlan::new(), |plan, &c| {
+        plan.inject(0, Some(c), FaultKind::Noise { sigma: 0.9 })
+    });
+    sys.set_fault_plan(plan, 0x9_1A7);
+    let mut gen = SyntheticGenerator::new(0x9_1A8);
+    for i in 0..tasks {
+        sys.spawn(gen.profile(format!("q{i}"), 2, u64::MAX / 64, false));
+    }
+    let mut checked = 0;
+    for epoch in 0..40 {
+        let before: Vec<CoreId> = sys.tasks().iter().map(|t| t.core()).collect();
+        sys.run_epoch(policy);
+        let (mode, quarantined) = view(policy);
+        if mode != DegradeMode::Full {
+            continue;
+        }
+        for task in quarantined {
+            assert_eq!(
+                sys.task(task).core(),
+                before[task.0],
+                "epoch {epoch}: quarantined {task:?} migrated"
+            );
+            checked += 1;
+        }
+    }
+    (checked, sys.stats().migrations)
+}
+
+/// Quarantine pinning on the flat balancer: a thread whose identity
+/// residual the noisy core blows up never moves while distrusted, and
+/// the rest of the workload keeps being balanced.
+#[test]
+fn quarantined_threads_never_migrate_flat() {
+    let platform = Platform::quad_heterogeneous();
+    let mut policy = SmartBalance::new(&platform);
+    let (checked, migrations) =
+        quarantined_threads_stay_put(&platform, &mut policy, &[1], 8, |p: &SmartBalance| {
+            (p.mode(), p.quarantined_threads())
+        });
+    assert!(checked > 0, "the noisy core never quarantined a thread");
+    assert!(migrations > 0, "the balancer never moved anything");
+}
+
+/// The same contract through the sharded balancer's cluster masks and
+/// exchange stage, with a whole cluster's counters noisy.
+#[test]
+fn quarantined_threads_never_migrate_sharded() {
+    let platform = Platform::clustered_heterogeneous(4, 4);
+    let cfg = SmartBalanceConfig {
+        shard: Some(ShardConfig::default()),
+        ..SmartBalanceConfig::default()
+    };
+    let mut policy = ShardedBalancer::with_config(&platform, cfg);
+    let (checked, migrations) = quarantined_threads_stay_put(
+        &platform,
+        &mut policy,
+        &[4, 5, 6, 7],
+        24,
+        |p: &ShardedBalancer| (p.inner().mode(), p.inner().quarantined_threads()),
+    );
+    assert!(checked > 0, "the noisy cluster never quarantined a thread");
+    assert!(migrations > 0, "the balancer never moved anything");
 }
