@@ -46,6 +46,7 @@ use archsim::Platform;
 use kernelsim::EngineKind;
 use serde::Serialize;
 use smartbalance::{ExperimentSpec, Policy};
+use smartbalance_bench::flag_value;
 use workloads::parsec;
 
 /// What `BENCH_campaign.json` contains.
@@ -117,12 +118,6 @@ fn build_grid(smoke: bool, scale: Option<f64>, epochs: Option<u64>) -> Vec<Campa
     .with_max_epochs(max_epochs);
     jobs.push(CampaignJob::new(index, poison_spec, Policy::Iks));
     jobs
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|p| args.get(p + 1).cloned())
 }
 
 fn main() {

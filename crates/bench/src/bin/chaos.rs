@@ -25,6 +25,7 @@ use archsim::{CoreId, FaultClass, FaultKind, FaultPlan, Platform};
 use kernelsim::{System, SystemConfig, TraceLevel};
 use serde::Serialize;
 use smartbalance::{DegradeMode, PredictorSet, SmartBalance, SmartBalanceConfig};
+use smartbalance_bench::flag_value;
 use workloads::SyntheticGenerator;
 
 /// Seed for the scenario's synthetic workload generator.
@@ -280,11 +281,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let max_intensity = args.iter().any(|a| a == "--max-intensity");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|p| args.get(p + 1).cloned())
-        .unwrap_or_else(|| "BENCH_chaos.json".to_owned());
+    let json_path = flag_value(&args, "--json").unwrap_or_else(|| "BENCH_chaos.json".to_owned());
 
     let (epochs, tasks) = if smoke || max_intensity {
         (30u64, 12usize)

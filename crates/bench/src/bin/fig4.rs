@@ -15,14 +15,12 @@
 use archsim::Platform;
 use smartbalance::Policy;
 use smartbalance_bench::{
-    imb_workloads, maybe_dump_json, parsec_workloads, print_rows, print_suite_summary,
+    flag_value, imb_workloads, maybe_dump_json, parsec_workloads, print_rows, print_suite_summary,
     run_policy_grid, ComparisonRow, THREAD_COUNTS,
 };
 
 fn parse_threads(args: &[String]) -> Vec<usize> {
-    args.iter()
-        .position(|a| a == "--threads")
-        .and_then(|p| args.get(p + 1))
+    flag_value(args, "--threads")
         .map(|s| {
             s.split(',')
                 .filter_map(|t| t.parse().ok())
@@ -61,13 +59,7 @@ fn run_set(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let set = args
-        .iter()
-        .position(|a| a == "--set")
-        .and_then(|p| args.get(p + 1))
-        .map(String::as_str)
-        .unwrap_or("all")
-        .to_owned();
+    let set = flag_value(&args, "--set").unwrap_or_else(|| "all".to_owned());
     let threads = parse_threads(&args);
     let platform = Platform::quad_heterogeneous();
     let mut all_rows = Vec::new();

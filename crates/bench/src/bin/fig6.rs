@@ -11,8 +11,8 @@
 
 use archsim::{CoreTypeId, Platform};
 use serde::Serialize;
-use smartbalance::parallel_indexed;
 use smartbalance::predict::{evaluate_pair, PredictorSet};
+use smartbalance::{default_workers, parallel_indexed};
 use smartbalance_bench::maybe_dump_json;
 
 #[derive(Debug, Serialize)]
@@ -40,10 +40,7 @@ fn main() {
     );
     // Each benchmark's q² pair-evaluations are independent; fan them
     // out with the suite's work-distribution helper.
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let rows = parallel_indexed(benchmarks.len(), workers, |i| {
+    let rows = parallel_indexed(benchmarks.len(), default_workers(), |i| {
         let b = &benchmarks[i];
         let corpus: Vec<_> = b.phases().iter().map(|p| p.characteristics).collect();
         let mut ipc_err = 0.0;

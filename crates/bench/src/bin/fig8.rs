@@ -7,7 +7,9 @@
 //! Usage: `fig8 [--json out.json]`
 
 use serde::Serialize;
-use smartbalance::{anneal, known_optimum_case, parallel_indexed, AnnealParams, Goal, Objective};
+use smartbalance::{
+    anneal, default_workers, known_optimum_case, parallel_indexed, AnnealParams, Goal, Objective,
+};
 use smartbalance_bench::maybe_dump_json;
 
 #[derive(Debug, Serialize)]
@@ -28,10 +30,7 @@ fn main() {
     // Each scenario's trials are deterministic and independent of the
     // others — fan the scenarios out, print in order afterwards.
     let scenarios = [2usize, 4, 8, 16, 32, 64, 128];
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let rows = parallel_indexed(scenarios.len(), workers, |i| {
+    let rows = parallel_indexed(scenarios.len(), default_workers(), |i| {
         let cores = scenarios[i];
         let threads = 2 * cores;
         let params = AnnealParams::scaled_for(cores, threads);

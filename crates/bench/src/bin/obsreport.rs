@@ -29,6 +29,7 @@ use archsim::Platform;
 use kernelsim::{LoadBalancer, NullBalancer, System, SystemConfig, TraceLevel};
 use serde::Serialize;
 use smartbalance::{ExperimentSpec, ExperimentSuite, ObsSummary, Policy, SmartBalance};
+use smartbalance_bench::flag_value;
 use telemetry::StageProfile;
 use workloads::SyntheticGenerator;
 
@@ -184,20 +185,15 @@ fn run_suite(max_epochs: u64) -> Vec<SuiteObsRow> {
         .collect()
 }
 
-fn arg_path(args: &[String], flag: &str, default: &str) -> String {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|p| args.get(p + 1).cloned())
-        .unwrap_or_else(|| default.to_owned())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = arg_path(&args, "--json", "BENCH_obs.json");
-    let jsonl_path = arg_path(&args, "--jsonl", "obs_epochs.jsonl");
-    let trace_path = arg_path(&args, "--trace", "obs_trace.json");
-    let prom_path = arg_path(&args, "--prom", "obs_metrics.prom");
+    let arg_path =
+        |flag, default: &str| flag_value(&args, flag).unwrap_or_else(|| default.to_owned());
+    let json_path = arg_path("--json", "BENCH_obs.json");
+    let jsonl_path = arg_path("--jsonl", "obs_epochs.jsonl");
+    let trace_path = arg_path("--trace", "obs_trace.json");
+    let prom_path = arg_path("--prom", "obs_metrics.prom");
 
     let (epochs, tasks, trace_capacity, suite_epochs) = if smoke {
         (60u64, 8usize, 4_000usize, 120u64)

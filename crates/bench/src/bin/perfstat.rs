@@ -30,6 +30,7 @@ use archsim::Platform;
 use kernelsim::{EngineKind, NullBalancer, System, SystemConfig};
 use serde::Serialize;
 use smartbalance::{ExperimentSpec, ExperimentSuite, Policy};
+use smartbalance_bench::flag_value;
 use workloads::{ImbConfig, Level, SyntheticGenerator};
 
 /// Seed for the reference scenario's synthetic workload generator.
@@ -184,11 +185,7 @@ fn run_suite(scale: f64) -> (usize, usize, f64, f64) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|p| args.get(p + 1).cloned())
-        .unwrap_or_else(|| "BENCH_hotpath.json".to_owned());
+    let json_path = flag_value(&args, "--json").unwrap_or_else(|| "BENCH_hotpath.json".to_owned());
 
     let (epochs, tasks, suite_scale) = if smoke {
         (200u64, 12usize, 1.0)

@@ -21,14 +21,8 @@
 use archsim::{CoreConfig, CoreTypeId, Platform};
 use kernelsim::TraceLevel;
 use smartbalance::{ExperimentSpec, ExperimentSuite, Policy, TraceRequest};
+use smartbalance_bench::flag_value;
 use workloads::{ImbConfig, MixId, WorkloadProfile};
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|p| args.get(p + 1))
-        .cloned()
-}
 
 fn platform_for(spec: &str) -> Platform {
     match spec {
@@ -98,13 +92,13 @@ fn parse<T: std::str::FromStr>(v: Option<String>, default: T) -> T {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let platform = platform_for(&flag(&args, "--platform").unwrap_or_else(|| "quad".into()));
-    let workload = flag(&args, "--workload").unwrap_or_else(|| "mix6".into());
-    let threads: usize = parse(flag(&args, "--threads"), 2);
-    let policy = policy_for(&flag(&args, "--policy").unwrap_or_else(|| "smart".into()));
-    let scale: f64 = parse(flag(&args, "--scale"), 0.4);
-    let max_epochs: u64 = parse(flag(&args, "--max-epochs"), 2_000);
-    let trace_path = flag(&args, "--trace");
+    let platform = platform_for(&flag_value(&args, "--platform").unwrap_or_else(|| "quad".into()));
+    let workload = flag_value(&args, "--workload").unwrap_or_else(|| "mix6".into());
+    let threads: usize = parse(flag_value(&args, "--threads"), 2);
+    let policy = policy_for(&flag_value(&args, "--policy").unwrap_or_else(|| "smart".into()));
+    let scale: f64 = parse(flag_value(&args, "--scale"), 0.4);
+    let max_epochs: u64 = parse(flag_value(&args, "--max-epochs"), 2_000);
+    let trace_path = flag_value(&args, "--trace");
 
     let mut profiles = Vec::new();
     for bench in workloads_for(&workload) {

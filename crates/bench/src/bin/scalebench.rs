@@ -5,8 +5,8 @@
 //! ([`Platform::clustered_heterogeneous`]), runs the same mixed
 //! workload under the flat SmartBalance annealer and under the
 //! cluster-sharded balancer (`SmartBalanceConfig.shard = Some(..)`),
-//! timing the balancer's `rebalance` calls in isolation through a
-//! wrapping [`LoadBalancer`]. Reports per tier: epochs/s, mean
+//! timing the balancer's `rebalance` calls in isolation through the
+//! shared [`TimedBalancer`] wrapper. Reports per tier: epochs/s, mean
 //! rebalance µs/epoch, achieved IPS/W (≡ instructions per joule) for
 //! both paths, the sharded-over-flat rebalance speedup and the
 //! sharded/flat efficiency ratio. Results land in `BENCH_scale.json`
@@ -26,50 +26,11 @@
 use std::time::Instant;
 
 use archsim::{CoreId, Platform, WorkloadCharacteristics};
-use kernelsim::{Allocation, EpochReport, LoadBalancer, System, SystemConfig};
+use kernelsim::{LoadBalancer, System, SystemConfig};
 use serde::Serialize;
 use smartbalance::{Policy, ShardConfig, SmartBalanceConfig};
+use smartbalance_bench::{flag_value, TimedBalancer};
 use workloads::WorkloadProfile;
-
-/// Wraps any balancer and accumulates wall-clock spent inside
-/// `rebalance` — the quantity the scaling claim is about.
-struct TimedBalancer {
-    inner: Box<dyn LoadBalancer>,
-    rebalance_ns: u128,
-    calls: u64,
-}
-
-impl TimedBalancer {
-    fn new(inner: Box<dyn LoadBalancer>) -> Self {
-        TimedBalancer {
-            inner,
-            rebalance_ns: 0,
-            calls: 0,
-        }
-    }
-
-    fn mean_rebalance_us(&self) -> f64 {
-        if self.calls == 0 {
-            0.0
-        } else {
-            self.rebalance_ns as f64 / self.calls as f64 / 1e3
-        }
-    }
-}
-
-impl LoadBalancer for TimedBalancer {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn rebalance(&mut self, platform: &Platform, report: &EpochReport) -> Option<Allocation> {
-        let t0 = Instant::now();
-        let out = self.inner.rebalance(platform, report);
-        self.rebalance_ns += t0.elapsed().as_nanos();
-        self.calls += 1;
-        out
-    }
-}
 
 /// One balancer's measured run at one tier.
 #[derive(Debug, Clone, Serialize)]
@@ -169,7 +130,7 @@ fn run_side(
         policy: balancer.name().to_owned(),
         wall_s,
         epochs_per_s: epochs as f64 / wall_s,
-        rebalance_us_per_epoch: balancer.mean_rebalance_us(),
+        rebalance_us_per_epoch: balancer.rebalance_us.iter().sum::<f64>() / epochs as f64,
         ips_per_w: stats.instructions_per_joule(),
         migrations: stats.migrations,
         cross_cluster_migrations: stats.cross_cluster_migrations,
@@ -210,11 +171,7 @@ fn run_tier(
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|p| args.get(p + 1).cloned())
-        .unwrap_or_else(|| "BENCH_scale.json".to_owned());
+    let json_path = flag_value(&args, "--json").unwrap_or_else(|| "BENCH_scale.json".to_owned());
 
     // (clusters, cores_per_cluster, epochs) per tier. The flat side is
     // only run where its dense matrices stay reasonable.

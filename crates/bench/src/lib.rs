@@ -12,18 +12,15 @@
 //! | `fig5`   | Fig. 5: normalized efficiency vs ARM GTS on big.LITTLE |
 //! | `fig6`   | Fig. 6: prediction error across PARSEC |
 //! | `table4` | Table 4: the Θ predictor coefficient matrix |
-//! | `fig7`   | Fig. 7: phase overheads and scalability |
+//! | `fig7`   | Fig. 7: per-epoch overhead, scalability and ablation timings |
 //! | `fig8`   | Fig. 8: iteration budgets and distance-to-optimal |
 
 use std::time::Instant;
 
 use archsim::Platform;
-use kernelsim::{EpochReport, LoadBalancer, System, SystemConfig};
+use kernelsim::{Allocation, EpochReport, LoadBalancer, TelemetryHandle};
 use serde::Serialize;
-use smartbalance::{
-    anneal, build_matrices, ipc_rows, AnnealParams, ExperimentSpec, ExperimentSuite, Goal,
-    Objective, Policy, PredictorSet, Sensor, SuiteProgress, SuiteReport,
-};
+use smartbalance::{ExperimentSpec, ExperimentSuite, Policy, SuiteProgress, SuiteReport};
 use workloads::{ImbConfig, MixId, WorkloadProfile};
 
 /// Scale factor applied to benchmark profiles so a full evaluation run
@@ -155,138 +152,75 @@ pub fn print_rows(title: &str, rows: &[ComparisonRow]) {
     );
 }
 
+/// The value following `flag` in `args`, when both are present.
+pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    let pos = args.iter().position(|a| a == flag)?;
+    args.get(pos + 1).cloned()
+}
+
 /// Writes any serializable value to `path` as pretty JSON when the
 /// `--json <path>` flag is present in `args`.
 pub fn maybe_dump_json<T: Serialize>(args: &[String], value: &T) {
-    if let Some(pos) = args.iter().position(|a| a == "--json") {
-        if let Some(path) = args.get(pos + 1) {
-            let json = serde_json::to_string_pretty(value).expect("serialize rows");
-            std::fs::write(path, json).unwrap_or_else(|e| eprintln!("json dump failed: {e}"));
-            println!("(rows written to {path})");
+    if let Some(path) = flag_value(args, "--json") {
+        let json = serde_json::to_string_pretty(value).expect("serialize rows");
+        std::fs::write(&path, json).unwrap_or_else(|e| eprintln!("json dump failed: {e}"));
+        println!("(rows written to {path})");
+    }
+}
+
+/// Wraps any balancer and records the wall-clock time of every
+/// `rebalance` call, so overhead figures come from the production code
+/// path rather than a copy of it. Telemetry attachment is forwarded, so
+/// the wrapped policy records exactly what it would unwrapped.
+pub struct TimedBalancer {
+    inner: Box<dyn LoadBalancer>,
+    /// Wall-clock time of each `rebalance` call so far, µs.
+    pub rebalance_us: Vec<f64>,
+}
+
+impl TimedBalancer {
+    /// Wraps `inner` with an empty timing record.
+    pub fn new(inner: Box<dyn LoadBalancer>) -> Self {
+        TimedBalancer {
+            inner,
+            rebalance_us: Vec::new(),
         }
     }
 }
 
-/// Timings of one SmartBalance epoch, broken into the paper's phases
-/// (Fig. 7(a)): sense, predict (matrix construction), optimize
-/// (Algorithm 1) and the modeled migration cost.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct PhaseTimings {
-    /// Sensing: counter distillation, seconds.
-    pub sense_s: f64,
-    /// Estimation + prediction: S/P matrix construction, seconds.
-    pub predict_s: f64,
-    /// Optimization: Algorithm 1, seconds.
-    pub optimize_s: f64,
-    /// Number of migrations the allocation implies.
-    pub migrations: usize,
-    /// Threads balanced.
-    pub threads: usize,
-}
-
-/// A SmartBalance re-implementation with per-phase instrumentation,
-/// built from the library's public pieces; used by `fig7` and the
-/// criterion benches. Behaviourally equivalent to
-/// [`smartbalance::SmartBalance`] with default config.
-pub struct InstrumentedSmart {
-    predictors: PredictorSet,
-    sensor: Sensor,
-    seed: u32,
-    /// Timings of every epoch balanced so far.
-    pub timings: Vec<PhaseTimings>,
-}
-
-impl InstrumentedSmart {
-    /// Trains predictors and prepares the instrumented balancer.
-    pub fn new(platform: &Platform) -> Self {
-        InstrumentedSmart {
-            predictors: PredictorSet::train(platform, 400, 0xDAC_2015),
-            sensor: Sensor::new(100_000),
-            seed: 0x5A17_B0B5,
-            timings: Vec::new(),
-        }
-    }
-}
-
-impl LoadBalancer for InstrumentedSmart {
+impl LoadBalancer for TimedBalancer {
     fn name(&self) -> &str {
-        "smartbalance-instrumented"
+        self.inner.name()
     }
 
-    fn rebalance(
-        &mut self,
-        platform: &Platform,
-        report: &EpochReport,
-    ) -> Option<kernelsim::Allocation> {
-        let mut t = PhaseTimings::default();
-
+    fn rebalance(&mut self, platform: &Platform, report: &EpochReport) -> Option<Allocation> {
         let t0 = Instant::now();
-        let mut senses = self.sensor.sense(platform, report);
-        senses.retain(|s| !s.kernel_thread);
-        t.sense_s = t0.elapsed().as_secs_f64();
-        if senses.is_empty() {
-            return None;
-        }
-        t.threads = senses.len();
+        let out = self.inner.rebalance(platform, report);
+        self.rebalance_us.push(t0.elapsed().as_secs_f64() * 1e6);
+        out
+    }
 
-        let t1 = Instant::now();
-        let rows = ipc_rows(platform, &senses, &self.predictors);
-        let matrices = build_matrices(platform, &senses, &rows, &self.predictors);
-        t.predict_s = t1.elapsed().as_secs_f64();
-
-        let t2 = Instant::now();
-        let initial: Vec<usize> = senses.iter().map(|s| s.core.0).collect();
-        let params = AnnealParams::scaled_for(platform.num_cores(), senses.len());
-        let objective = Objective::new(&matrices, Goal::EnergyEfficiency);
-        let outcome = anneal(&objective, &initial, params, self.seed);
-        self.seed = self
-            .seed
-            .wrapping_mul(0x0019_660D)
-            .wrapping_add(0x3C6E_F35F);
-        t.optimize_s = t2.elapsed().as_secs_f64();
-
-        let mut alloc = kernelsim::Allocation::new();
-        for (sense, (&new_core, &old_core)) in senses
-            .iter()
-            .zip(outcome.allocation.iter().zip(initial.iter()))
-        {
-            if new_core != old_core {
-                alloc.assign(sense.task, archsim::CoreId(new_core));
-            }
-        }
-        t.migrations = alloc.len();
-        self.timings.push(t);
-        if alloc.is_empty() {
-            None
-        } else {
-            Some(alloc)
-        }
+    fn attach_telemetry(&mut self, handle: &TelemetryHandle) {
+        self.inner.attach_telemetry(handle);
     }
 }
 
-/// Runs a workload on `platform` long enough to collect `epochs` epochs
-/// of instrumented timings.
-pub fn collect_phase_timings(
-    platform: &Platform,
-    threads: usize,
-    epochs: u64,
-) -> Vec<PhaseTimings> {
-    let mut sys = System::new(platform.clone(), SystemConfig::default());
-    let mut gen = workloads::SyntheticGenerator::new(42);
-    for i in 0..threads {
-        let p = gen.profile(format!("t{i}"), 3, u64::MAX / 2, i % 3 == 0);
-        sys.spawn(p);
+/// The median of `xs` (mean of the middle pair for even lengths; 0 when
+/// empty).
+pub fn median(xs: &[f64]) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    match v.len() {
+        0 => 0.0,
+        n if n % 2 == 1 => v[n / 2],
+        n => (v[n / 2 - 1] + v[n / 2]) / 2.0,
     }
-    let mut balancer = InstrumentedSmart::new(platform);
-    for _ in 0..epochs {
-        sys.run_epoch(&mut balancer);
-    }
-    balancer.timings
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kernelsim::{System, SystemConfig};
 
     #[test]
     fn workload_lists_complete() {
@@ -330,13 +264,36 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_balancer_records_phases() {
+    fn timed_balancer_records_each_rebalance() {
         let platform = Platform::quad_heterogeneous();
-        let timings = collect_phase_timings(&platform, 8, 3);
-        assert_eq!(timings.len(), 3);
-        for t in &timings {
-            assert!(t.threads > 0);
-            assert!(t.optimize_s > 0.0);
+        let mut sys = System::new(platform.clone(), SystemConfig::default());
+        let mut gen = workloads::SyntheticGenerator::new(42);
+        for i in 0..8 {
+            sys.spawn(gen.profile(format!("t{i}"), 3, u64::MAX / 2, false));
         }
+        let hub = telemetry::shared();
+        sys.set_telemetry(hub.clone());
+        let mut balancer = TimedBalancer::new(Policy::Smart.build(&platform, None));
+        balancer.attach_telemetry(&hub);
+        for _ in 0..3 {
+            sys.run_epoch(&mut balancer);
+        }
+        assert_eq!(balancer.name(), "smartbalance");
+        assert_eq!(balancer.rebalance_us.len(), 3);
+        assert!(balancer.rebalance_us.iter().all(|&us| us > 0.0));
+        // The forwarded hub reached the wrapped policy: it credited the
+        // annealer once per epoch.
+        let profile = hub.borrow().stage_profile();
+        assert!(profile
+            .iter()
+            .any(|p| p.stage == "anneal" && p.invocations == 3));
+    }
+
+    #[test]
+    #[allow(clippy::float_cmp)] // the medians here are exact
+    fn median_handles_odd_even_and_empty() {
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&[]), 0.0);
     }
 }

@@ -110,14 +110,6 @@ impl ExperimentSpec {
         self
     }
 
-    /// Selects the slice-execution backend for this spec (a shortcut
-    /// for setting `sys_config.engine`). A per-run
-    /// [`RunOptions::with_engine`] override wins over this.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.sys_config.engine = engine;
-        self
-    }
-
     /// Enables hierarchical sharding for this spec's [`Policy::Smart`]
     /// runs (creates a default policy config when none is set yet).
     pub fn with_shard(mut self, shard: ShardConfig) -> Self {
@@ -235,13 +227,6 @@ impl RunOptions {
     /// Requests closed-loop observability (builder style).
     pub fn with_observability(mut self) -> Self {
         self.observe = true;
-        self
-    }
-
-    /// Overrides the slice-execution backend for this run only
-    /// (builder style); wins over the spec's `sys_config.engine`.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = Some(engine);
         self
     }
 }
@@ -518,8 +503,8 @@ mod tests {
 
     #[test]
     fn engine_choice_threads_through_spec_and_options() {
-        let spec = small_spec().with_engine(EngineKind::Batched);
-        assert_eq!(spec.sys_config.engine, EngineKind::Batched);
+        let mut spec = small_spec();
+        spec.sys_config.engine = EngineKind::Batched;
         let mut b = Policy::Vanilla.build(&spec.platform, None);
         let batched = run_experiment_with(&spec, b.as_mut(), RunOptions::new()).result;
 
@@ -529,7 +514,10 @@ mod tests {
         let reference = run_experiment_with(
             &spec,
             b.as_mut(),
-            RunOptions::new().with_engine(EngineKind::Reference),
+            RunOptions {
+                engine: Some(EngineKind::Reference),
+                ..RunOptions::new()
+            },
         )
         .result;
         assert_eq!(batched, reference, "engines must be indistinguishable");

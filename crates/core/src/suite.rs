@@ -96,13 +96,6 @@ impl SuiteJob {
         self
     }
 
-    /// Overrides the slice-execution backend for this job (builder
-    /// style); wins over the spec's `sys_config.engine`.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = Some(engine);
-        self
-    }
-
     /// Enables hierarchical sharding for this job (builder style);
     /// wins over the spec's `policy_config.shard`.
     pub fn with_shard(mut self, shard: ShardConfig) -> Self {
@@ -474,19 +467,6 @@ impl ExperimentSuite {
         index
     }
 
-    /// [`push`](Self::push) with a slice-engine override: the job runs
-    /// on `engine` regardless of the spec's `sys_config.engine`.
-    pub fn push_with_engine(
-        &mut self,
-        spec: ExperimentSpec,
-        policy: Policy,
-        engine: EngineKind,
-    ) -> usize {
-        let index = self.push_job(spec, policy, None);
-        self.jobs[index].engine = Some(engine);
-        index
-    }
-
     /// [`push`](Self::push) with a sharding override: the job runs the
     /// cluster-sharded balancer under [`Policy::Smart`].
     pub fn push_with_shard(
@@ -800,10 +780,10 @@ mod tests {
         // The same spec pushed once per engine must produce
         // bit-identical canonicalized results — suite-level parity.
         let mut suite = ExperimentSuite::new().with_workers(2);
-        let a = suite.push_with_engine(tiny_spec("w"), Policy::Vanilla, EngineKind::Reference);
-        let b = suite.push_with_engine(tiny_spec("w"), Policy::Vanilla, EngineKind::Batched);
-        assert_eq!(suite.jobs()[a].engine, Some(EngineKind::Reference));
-        assert_eq!(suite.jobs()[b].engine, Some(EngineKind::Batched));
+        let mut batched = tiny_spec("w");
+        batched.sys_config.engine = EngineKind::Batched;
+        let a = suite.push(tiny_spec("w"), Policy::Vanilla);
+        let b = suite.push(batched, Policy::Vanilla);
         let report = suite.run();
         let ja = serde_json::to_string(&report.jobs[a].result).expect("serialize");
         let jb = serde_json::to_string(&report.jobs[b].result).expect("serialize");

@@ -113,3 +113,62 @@ fn throughput_goal_finishes_faster_than_energy_goal() {
         "energy goal must not be less efficient"
     );
 }
+
+#[test]
+fn predicted_matrices_cost_under_two_percent_allocation_quality() {
+    // Ablation: does Θ-based prediction cost allocation quality? Anneal
+    // once on S/P matrices predicted from a Big-core signature and once
+    // on the ground-truth model matrices, then score both allocations
+    // under ground truth.
+    use archsim::{estimate, CoreId, CoreTypeId};
+    use kernelsim::TaskId;
+    use mcpat::CorePowerModel;
+    use smartbalance::sense::features_from_counters;
+    use smartbalance::{anneal, AnnealParams, CharacterizationMatrices, Goal, Objective};
+
+    let platform = Platform::quad_heterogeneous();
+    let predictors = smartbalance::PredictorSet::train(&platform, 400, 11);
+    let mut gen = workloads::SyntheticGenerator::new(13);
+    let threads: Vec<_> = (0..8).map(|_| gen.characteristics()).collect();
+    let mut oracle = CharacterizationMatrices::new(
+        (0..threads.len()).map(TaskId).collect(),
+        platform.cores().map(|c| platform.core_type(c)).collect(),
+        platform
+            .cores()
+            .map(|c| CorePowerModel::calibrated(platform.core_config(c)).sleep_power_w())
+            .collect(),
+    );
+    let mut predicted = oracle.clone();
+    let src_ty = CoreTypeId(1);
+    let src_cfg = platform.type_config(src_ty);
+    for (i, w) in threads.iter().enumerate() {
+        let slice = archsim::run_slice(w, src_cfg, 10_000_000);
+        let feats = features_from_counters(&slice.counters, src_cfg.freq_hz);
+        for j in 0..platform.num_cores() {
+            let cfg = platform.core_config(CoreId(j));
+            let est = estimate(w, cfg);
+            let power = CorePowerModel::calibrated(cfg).active_power_w(est.activity);
+            oracle.set(i, j, est.ipc * cfg.freq_hz, power, true);
+            let dst_ty = platform.core_type(CoreId(j));
+            let ipc = predictors.predict_ipc(&feats, src_ty, dst_ty);
+            let power = predictors.predict_power_w(ipc, dst_ty);
+            predicted.set(i, j, ipc * cfg.freq_hz, power, false);
+        }
+    }
+
+    let params = AnnealParams::scaled_for(4, 8);
+    let truth = Objective::new(&oracle, Goal::EnergyEfficiency);
+    let best = anneal(&truth, &[0; 8], params, 21).objective;
+    let guided = anneal(
+        &Objective::new(&predicted, Goal::EnergyEfficiency),
+        &[0; 8],
+        params,
+        21,
+    );
+    let gap = 1.0 - truth.evaluate(&guided.allocation) / best;
+    assert!(
+        gap < 0.02,
+        "predicted-matrix allocation is {:.2} % below the oracle's",
+        100.0 * gap
+    );
+}
