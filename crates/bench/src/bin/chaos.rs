@@ -24,7 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use archsim::{CoreId, FaultClass, FaultKind, FaultPlan, Platform};
 use kernelsim::{System, SystemConfig, TraceLevel};
 use serde::Serialize;
-use smartbalance::{DegradeMode, PredictorSet, SmartBalance, SmartBalanceConfig};
+use smartbalance::{DegradeMode, SmartBalance};
 use smartbalance_bench::flag_value;
 use workloads::SyntheticGenerator;
 
@@ -118,15 +118,9 @@ struct ChaosReport {
 }
 
 /// Runs the chaos scenario once under the given fault setup.
-fn run_scenario(
-    setup: &CellSetup,
-    predictors: &PredictorSet,
-    epochs: u64,
-    tasks: usize,
-) -> RunOutcome {
+fn run_scenario(setup: &CellSetup, epochs: u64, tasks: usize) -> RunOutcome {
     let platform = Platform::quad_heterogeneous();
-    let config = SmartBalanceConfig::default();
-    let mut policy = SmartBalance::with_predictors(predictors.clone(), config);
+    let mut policy = SmartBalance::new(&platform);
     let mut sys = System::new(platform, SystemConfig::default());
     sys.enable_tracing(TraceLevel::Lifecycle, 64);
     if !setup.plan.is_empty() {
@@ -216,14 +210,11 @@ fn run_cell(
     name: &str,
     intensity: f64,
     setup: CellSetup,
-    predictors: &PredictorSet,
     epochs: u64,
     tasks: usize,
     baseline: &RunOutcome,
 ) -> CellResult {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        run_scenario(&setup, predictors, epochs, tasks)
-    }));
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_scenario(&setup, epochs, tasks)));
     match outcome {
         Ok(o) => CellResult {
             name: name.to_owned(),
@@ -294,13 +285,10 @@ fn main() {
         &[0.1, 0.2, 0.4, 0.8]
     };
 
-    // Train once; every cell reuses the same predictors, so cells
-    // differ only in the faults injected.
-    let platform = Platform::quad_heterogeneous();
-    let config = SmartBalanceConfig::default();
-    let predictors = PredictorSet::train(&platform, config.train_corpus, config.train_seed);
-
-    let baseline = run_scenario(&CellSetup::default(), &predictors, epochs, tasks);
+    // Every cell's policy shares one trained predictor set
+    // (`PredictorSet::trained`), so cells differ only in the faults
+    // injected.
+    let baseline = run_scenario(&CellSetup::default(), epochs, tasks);
     let mut cells = Vec::new();
 
     if max_intensity {
@@ -321,7 +309,6 @@ fn main() {
                 throttle: Some((2, 0.3)),
                 migration_failure: 1.0,
             },
-            &predictors,
             epochs,
             tasks,
             &baseline,
@@ -334,7 +321,6 @@ fn main() {
                 migration_failure: 1.0,
                 ..CellSetup::default()
             },
-            &predictors,
             epochs,
             tasks,
             &baseline,
@@ -351,7 +337,6 @@ fn main() {
                         plan,
                         ..CellSetup::default()
                     },
-                    &predictors,
                     epochs,
                     tasks,
                     &baseline,
@@ -366,7 +351,6 @@ fn main() {
                 hotplug: Some((1, epochs / 4, 3 * epochs / 4)),
                 ..CellSetup::default()
             },
-            &predictors,
             epochs,
             tasks,
             &baseline,
@@ -378,7 +362,6 @@ fn main() {
                 throttle: Some((0, 0.4)),
                 ..CellSetup::default()
             },
-            &predictors,
             epochs,
             tasks,
             &baseline,
@@ -390,7 +373,6 @@ fn main() {
                 migration_failure: 0.5,
                 ..CellSetup::default()
             },
-            &predictors,
             epochs,
             tasks,
             &baseline,
@@ -409,7 +391,6 @@ fn main() {
                 hotplug: Some((3, epochs / 3, 2 * epochs / 3)),
                 ..CellSetup::default()
             },
-            &predictors,
             epochs,
             tasks,
             &baseline,

@@ -98,8 +98,14 @@ fn overhead(migration_cost_us: f64) -> OverheadRow {
     let reports: Vec<EpochReport> = (0..EPOCHS).map(|_| sys.run_epoch(&mut balancer)).collect();
 
     // Replay the same reports through the functions `rebalance` calls,
-    // with the same configuration, timing each phase.
-    let predictors = PredictorSet::train(&platform, cfg.train_corpus, cfg.train_seed);
+    // with the same configuration and the very predictor set the timed
+    // balancer holds, timing each phase.
+    let predictors = PredictorSet::trained(
+        &platform,
+        cfg.train_corpus,
+        cfg.train_seed,
+        cfg.sparse_sensing,
+    );
     let mut sensor =
         Sensor::new(cfg.min_sample_runtime_ns).with_signature_ttl(cfg.degrade.signature_ttl_epochs);
     let mut phases_us: [Vec<f64>; 3] = Default::default();

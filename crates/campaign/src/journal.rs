@@ -87,7 +87,9 @@ impl JournalRecord {
 #[derive(Debug)]
 pub struct CheckpointJournal {
     path: PathBuf,
-    records: BTreeMap<String, JournalRecord>,
+    /// Each record with its JSON line, rendered once when the record
+    /// enters the journal, so a flush only joins lines.
+    records: BTreeMap<String, (JournalRecord, String)>,
     skipped_lines: usize,
 }
 
@@ -97,7 +99,9 @@ impl CheckpointJournal {
     /// does not parse — a torn tail left by a non-atomic foreign
     /// writer, or hand-edited damage — is skipped and counted in
     /// [`CheckpointJournal::skipped_lines`] rather than aborting the
-    /// resume, because every record is self-contained.
+    /// resume, because every record is self-contained. A replayed
+    /// record is rendered afresh rather than kept as read, so a line in
+    /// an older schema flushes in the current one.
     pub fn load(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         let text = match fs::read_to_string(&path) {
@@ -105,24 +109,21 @@ impl CheckpointJournal {
             Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
             Err(e) => return Err(e),
         };
-        let mut records = BTreeMap::new();
-        let mut skipped_lines = 0;
+        let mut journal = CheckpointJournal {
+            path,
+            records: BTreeMap::new(),
+            skipped_lines: 0,
+        };
         for line in text.lines() {
             if line.trim().is_empty() {
                 continue;
             }
             match serde_json::from_str::<JournalRecord>(line) {
-                Ok(rec) => {
-                    records.insert(rec.id().to_owned(), rec);
-                }
-                Err(_) => skipped_lines += 1,
+                Ok(rec) => journal.insert(rec)?,
+                Err(_) => journal.skipped_lines += 1,
             }
         }
-        Ok(CheckpointJournal {
-            path,
-            records,
-            skipped_lines,
-        })
+        Ok(journal)
     }
 
     /// Where this journal persists.
@@ -137,13 +138,16 @@ impl CheckpointJournal {
 
     /// The checkpointed outcome for `id`, if any.
     pub fn get(&self, id: &str) -> Option<&JournalRecord> {
-        self.records.get(id)
+        self.records.get(id).map(|(record, _)| record)
     }
 
-    /// Adds (or overwrites) a terminal outcome in memory; call
-    /// [`CheckpointJournal::flush`] to persist.
-    pub fn insert(&mut self, record: JournalRecord) {
-        self.records.insert(record.id().to_owned(), record);
+    /// Adds (or overwrites) a terminal outcome in memory and renders
+    /// its journal line; call [`CheckpointJournal::flush`] to persist.
+    /// Returns `Err` only if the record does not serialize.
+    pub fn insert(&mut self, record: JournalRecord) -> io::Result<()> {
+        let line = serde_json::to_string(&record).map_err(io::Error::other)?;
+        self.records.insert(record.id().to_owned(), (record, line));
+        Ok(())
     }
 
     /// Number of checkpointed cells.
@@ -163,20 +167,20 @@ impl CheckpointJournal {
 
     /// The records in identity order.
     pub fn records(&self) -> impl Iterator<Item = &JournalRecord> {
-        self.records.values()
+        self.records.values().map(|(record, _)| record)
     }
 
-    /// Persists the journal atomically: renders every record to JSONL,
-    /// writes the whole byte string to a `.tmp` sibling, syncs it to
-    /// stable storage, then renames it over the live path. The rename
-    /// is the commit point — a crash before it leaves the previous
-    /// journal intact, a crash after it leaves the new one. Returns the
-    /// number of bytes committed (feeds the live plane's flush stats).
+    /// Persists the journal atomically: joins the records' rendered
+    /// lines into JSONL, writes the whole byte string to a `.tmp`
+    /// sibling, syncs it to stable storage, then renames it over the
+    /// live path. The rename is the commit point — a crash before it
+    /// leaves the previous journal intact, a crash after it leaves the
+    /// new one. Returns the number of bytes committed (feeds the live
+    /// plane's flush stats).
     pub fn flush(&self) -> io::Result<usize> {
-        let mut buf = String::new();
-        for record in self.records.values() {
-            let line = serde_json::to_string(record).map_err(io::Error::other)?;
-            buf.push_str(&line);
+        let mut buf = String::with_capacity(self.records.values().map(|(_, l)| l.len() + 1).sum());
+        for (_, line) in self.records.values() {
+            buf.push_str(line);
             buf.push('\n');
         }
         let tmp = tmp_sibling(&self.path);
@@ -240,8 +244,8 @@ mod tests {
         let _ = fs::remove_file(&path);
         let mut j = CheckpointJournal::load(&path).expect("load empty");
         assert!(j.is_empty());
-        j.insert(record("aaaa", 0));
-        j.insert(record("bbbb", 1));
+        j.insert(record("aaaa", 0)).expect("insert");
+        j.insert(record("bbbb", 1)).expect("insert");
         j.flush().expect("flush");
 
         let j2 = CheckpointJournal::load(&path).expect("reload");
@@ -256,7 +260,7 @@ mod tests {
         let path = temp_journal("torn.jsonl");
         let _ = fs::remove_file(&path);
         let mut j = CheckpointJournal::load(&path).expect("load empty");
-        j.insert(record("cccc", 0));
+        j.insert(record("cccc", 0)).expect("insert");
         j.flush().expect("flush");
         // Simulate a kill mid-append by a non-atomic writer.
         let mut text = fs::read_to_string(&path).expect("read back");
@@ -296,7 +300,7 @@ mod tests {
         let path = temp_journal("forensics.jsonl");
         let _ = fs::remove_file(&path);
         let mut j = CheckpointJournal::load(&path).expect("load empty");
-        j.insert(record("ffff", 2));
+        j.insert(record("ffff", 2)).expect("insert");
         j.flush().expect("flush");
         let j2 = CheckpointJournal::load(&path).expect("reload");
         match j2.get("ffff").expect("record present") {
@@ -314,12 +318,58 @@ mod tests {
         }
     }
 
+    /// What `flush` writes, rendered the slow way: every record's
+    /// `serde_json::to_string` line, in identity order.
+    fn rendered(records: &[&JournalRecord]) -> String {
+        records
+            .iter()
+            .map(|r| serde_json::to_string(r).expect("serialize") + "\n")
+            .collect()
+    }
+
+    #[test]
+    fn flush_writes_each_record_rendered_in_id_order() {
+        let path = temp_journal("rendered.jsonl");
+        let _ = fs::remove_file(&path);
+        let mut j = CheckpointJournal::load(&path).expect("load empty");
+        j.insert(record("bbbb", 1)).expect("insert");
+        j.insert(record("aaaa", 0)).expect("insert");
+        // A second insert for a cell replaces its line.
+        let retried = JournalRecord::Quarantined {
+            id: "bbbb".to_owned(),
+            index: 1,
+            attempts: 1,
+            error: "again".to_owned(),
+            attempts_log: None,
+            flight: None,
+        };
+        j.insert(retried.clone()).expect("overwrite");
+        let bytes = j.flush().expect("flush");
+        let text = fs::read_to_string(&path).expect("read");
+        assert_eq!(text, rendered(&[&record("aaaa", 0), &retried]));
+        assert_eq!(bytes, text.len());
+    }
+
+    #[test]
+    fn pre_v2_line_flushes_in_the_current_schema() {
+        let path = temp_journal("pre_v2.jsonl");
+        let line =
+            r#"{"Quarantined":{"id":"0123456789abcdef","index":4,"attempts":3,"error":"boom"}}"#;
+        fs::write(&path, format!("{line}\n")).expect("seed journal");
+        let j = CheckpointJournal::load(&path).expect("load");
+        let parsed: JournalRecord = serde_json::from_str(line).expect("old line parses");
+        j.flush().expect("flush");
+        let text = fs::read_to_string(&path).expect("read");
+        assert_eq!(text, rendered(&[&parsed]));
+        assert_ne!(text.trim_end(), line, "the raw pre-v2 text is not kept");
+    }
+
     #[test]
     fn flush_leaves_no_tmp_residue_and_is_idempotent() {
         let path = temp_journal("residue.jsonl");
         let _ = fs::remove_file(&path);
         let mut j = CheckpointJournal::load(&path).expect("load");
-        j.insert(record("eeee", 4));
+        j.insert(record("eeee", 4)).expect("insert");
         j.flush().expect("first flush");
         j.flush().expect("second flush");
         assert!(!tmp_sibling(&path).exists(), "tmp is always renamed away");

@@ -182,7 +182,7 @@ impl Campaign {
                     }
                 }
                 fold_into_progress(&mut progress, &record);
-                self.journal.insert(record);
+                self.journal.insert(record)?;
                 self.publish_progress(&progress);
             }
             executed_cells += batch.len();
@@ -196,7 +196,7 @@ impl Campaign {
         progress.current_cells.clear();
         self.publish_progress(&progress);
         let interrupted = executed_cells < pending.len();
-        Ok(self.build_report(interrupted, resumed_cells, executed_cells))
+        Ok(self.build_report(&ids, interrupted, resumed_cells, executed_cells))
     }
 
     /// The progress payload at the start of a run: grid size, resumed
@@ -254,8 +254,11 @@ impl Campaign {
         self.config.stop_file.as_ref().is_some_and(|p| p.exists())
     }
 
+    /// The report over the whole grid; `ids` are the cells' identities
+    /// in grid order, as [`Campaign::run`] computed them.
     fn build_report(
         &self,
+        ids: &[String],
         interrupted: bool,
         resumed_cells: usize,
         executed_cells: usize,
@@ -265,8 +268,8 @@ impl Campaign {
         let mut retries_total = 0u64;
         // Walk the grid in index order so the report layout never
         // depends on completion order or journal key order.
-        for job in &self.jobs {
-            match self.journal.get(&job.id()) {
+        for id in ids {
+            match self.journal.get(id) {
                 Some(JournalRecord::Completed {
                     id,
                     index,

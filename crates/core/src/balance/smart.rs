@@ -13,6 +13,8 @@
 //! 3. **balance** — run Algorithm 1 ([`crate::anneal::anneal`]) from
 //!    the current allocation and emit the migrations it decides on.
 
+use std::sync::Arc;
+
 use archsim::Platform;
 use kernelsim::{Allocation, EpochReport, LoadBalancer, TelemetryHandle};
 use mcpat::ThermalModel;
@@ -71,7 +73,7 @@ pub(crate) enum PreambleOutcome {
 #[derive(Debug)]
 pub struct SmartBalance {
     config: SmartBalanceConfig,
-    predictors: PredictorSet,
+    predictors: Arc<PredictorSet>,
     sensor: Sensor,
     seed: u32,
     epochs_balanced: u64,
@@ -87,16 +89,20 @@ pub struct SmartBalance {
 }
 
 impl SmartBalance {
-    /// Creates the policy for `platform` with default configuration,
-    /// performing the offline predictor training (Section 4.2.2's
-    /// profiling step) immediately.
+    /// Creates the policy for `platform` with default configuration.
+    /// The offline predictor training (Section 4.2.2's profiling step)
+    /// runs on the first call for these core types and is shared by
+    /// every later one ([`PredictorSet::trained`]).
     pub fn new(platform: &Platform) -> Self {
         Self::with_config(platform, SmartBalanceConfig::default())
     }
 
-    /// Creates the policy with an explicit configuration.
+    /// Creates the policy with an explicit configuration, taking its
+    /// predictors from [`PredictorSet::trained`]: the first policy with
+    /// this platform's core types and `config`'s training corpus, seed
+    /// and sparsity trains them, and later ones share that set.
     pub fn with_config(platform: &Platform, config: SmartBalanceConfig) -> Self {
-        let predictors = PredictorSet::train_with_sparsity(
+        let predictors = PredictorSet::trained(
             platform,
             config.train_corpus,
             config.train_seed,
@@ -108,10 +114,11 @@ impl SmartBalance {
         }
     }
 
-    /// Creates the policy reusing an already trained predictor set
-    /// (e.g. shared across experiment runs). Thermal tracking is not
-    /// available through this constructor (it needs the platform).
-    pub fn with_predictors(predictors: PredictorSet, config: SmartBalanceConfig) -> Self {
+    /// Creates the policy on a given predictor set, e.g. one trained
+    /// with settings `config` does not name. `config`'s training fields
+    /// are ignored. Thermal tracking is not available through this
+    /// constructor (it needs the platform).
+    pub fn with_predictors(predictors: Arc<PredictorSet>, config: SmartBalanceConfig) -> Self {
         SmartBalance {
             sensor: Sensor::new(config.min_sample_runtime_ns)
                 .with_power_noise(

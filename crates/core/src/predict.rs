@@ -21,6 +21,8 @@
 //! interpolation of power against IPC, with `α0, α1` from offline
 //! profiling.
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use archsim::branch::BranchModel;
 use archsim::cache::{CacheModel, TlbModel};
 use archsim::pipeline::{ilp_for_base_ipc, L1_MISS_LATENCY_NS};
@@ -150,6 +152,21 @@ fn transform_with(
     ]
 }
 
+/// Every input [`PredictorSet::train_with_sparsity`] reads: two equal
+/// keys train bit-identical sets.
+#[derive(PartialEq)]
+struct TrainingKey {
+    type_configs: Vec<CoreConfig>,
+    corpus_size: usize,
+    seed: u64,
+    sparse: bool,
+}
+
+/// The sets [`PredictorSet::trained`] has trained in this process. A
+/// process trains a handful of keys, so a linear scan is enough (and
+/// smartlint D1 keeps unordered maps out of simulation code).
+static TRAINED: Mutex<Vec<(TrainingKey, Arc<PredictorSet>)>> = Mutex::new(Vec::new());
+
 /// Trained predictor set: one Θ row per ordered core-type pair plus
 /// per-type power coefficients.
 ///
@@ -186,6 +203,49 @@ impl PredictorSet {
     /// Panics if `corpus_size < NUM_COEFFS` (underdetermined fit).
     pub fn train(platform: &Platform, corpus_size: usize, seed: u64) -> Self {
         Self::train_with_sparsity(platform, corpus_size, seed, false)
+    }
+
+    /// The set [`PredictorSet::train_with_sparsity`] would return for
+    /// these inputs, trained at most once per process: the paper's
+    /// profiling step runs once per platform, so every balancer built
+    /// for the same core types, corpus, seed and sparsity shares one
+    /// `Arc`. Training runs outside the lock, so different keys train in
+    /// parallel; if two threads race on one key, the first to finish is
+    /// kept and both get it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `corpus_size < NUM_COEFFS` (underdetermined fit).
+    pub fn trained(platform: &Platform, corpus_size: usize, seed: u64, sparse: bool) -> Arc<Self> {
+        let key = TrainingKey {
+            type_configs: platform.types().map(|(_, cfg)| cfg.clone()).collect(),
+            corpus_size,
+            seed,
+            sparse,
+        };
+        let find = |memo: &[(TrainingKey, Arc<Self>)]| {
+            memo.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, set)| Arc::clone(set))
+        };
+        // A lock poisoned by a panicking holder still holds only
+        // finished sets: an entry is pushed after its training returns.
+        let lock = || TRAINED.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(set) = find(&lock()) {
+            return set;
+        }
+        let fresh = Arc::new(Self::train_with_sparsity(
+            platform,
+            corpus_size,
+            seed,
+            sparse,
+        ));
+        let mut memo = lock();
+        if let Some(set) = find(&memo) {
+            return set;
+        }
+        memo.push((key, Arc::clone(&fresh)));
+        fresh
     }
 
     /// Like [`PredictorSet::train`], but optionally with the *sparse*
@@ -227,6 +287,13 @@ impl PredictorSet {
             );
         }
 
+        // The regression targets: the true CPI of every corpus workload
+        // on each destination type (independent of the source type).
+        let targets: Vec<Vec<f64>> = type_configs
+            .iter()
+            .map(|dst| corpus.iter().map(|w| 1.0 / estimate(w, dst).ipc).collect())
+            .collect();
+
         let mut theta = vec![[0.0; NUM_COEFFS]; q * q];
         for src in 0..q {
             // Invert each signature once per source type; the q
@@ -241,11 +308,7 @@ impl PredictorSet {
                     .zip(signatures[src].iter())
                     .map(|(w, f)| transform_with(w, f, &type_configs[dst]))
                     .collect();
-                let ys: Vec<f64> = corpus
-                    .iter()
-                    .map(|w| 1.0 / estimate(w, &type_configs[dst]).ipc)
-                    .collect();
-                theta[src * q + dst] = least_squares(&xs, &ys);
+                theta[src * q + dst] = least_squares(&xs, &targets[dst]);
             }
         }
 
@@ -624,6 +687,40 @@ mod tests {
         let a = PredictorSet::train(&platform, 100, 9);
         let b = PredictorSet::train(&platform, 100, 9);
         assert_eq!(a, b);
+    }
+
+    /// The memo hands out exactly what `train_with_sparsity` trains,
+    /// one `Arc` per key, and a distinct set whenever any training input
+    /// differs.
+    #[test]
+    fn trained_is_train_with_sparsity_once_per_key() {
+        let platform = Platform::quad_heterogeneous();
+        let base = PredictorSet::trained(&platform, 40, 77, false);
+        assert_eq!(
+            *base,
+            PredictorSet::train_with_sparsity(&platform, 40, 77, false)
+        );
+        assert!(Arc::ptr_eq(
+            &base,
+            &PredictorSet::trained(&platform, 40, 77, false)
+        ));
+
+        let mut slower = platform.clone();
+        slower.set_type_operating_point(CoreTypeId(2), 0.8e9, 0.9);
+        for (variant, corpus, seed, sparse) in [
+            (&platform, 40, 77, true),
+            (&platform, 41, 77, false),
+            (&platform, 40, 78, false),
+            (&slower, 40, 77, false),
+        ] {
+            let set = PredictorSet::trained(variant, corpus, seed, sparse);
+            assert!(!Arc::ptr_eq(&set, &base), "{corpus} {seed} {sparse}");
+            assert_ne!(*set, *base, "{corpus} {seed} {sparse}");
+            assert_eq!(
+                *set,
+                PredictorSet::train_with_sparsity(variant, corpus, seed, sparse)
+            );
+        }
     }
 
     #[test]

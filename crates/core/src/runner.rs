@@ -33,7 +33,10 @@ pub enum Policy {
 impl Policy {
     /// Instantiates the policy for `platform`. A configuration only
     /// affects [`Policy::Smart`]; `None` (or any config handed to a
-    /// baseline policy) selects the defaults.
+    /// baseline policy) selects the defaults. SmartBalance's predictors
+    /// are trained once per process for each platform and training
+    /// setting ([`crate::PredictorSet::trained`]), so building the same
+    /// policy again costs no retraining.
     pub fn build(
         &self,
         platform: &Platform,

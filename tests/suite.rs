@@ -23,21 +23,29 @@ fn spec(name: &str, scale: f64) -> ExperimentSpec {
     ExperimentSpec::new(name, Platform::octa_big_little(), profiles)
 }
 
+/// Job scale of the suite the determinism checks run: small, so the
+/// checks are quick.
+const SCALE: f64 = 0.08;
+
+/// Job scale of the suite the speedup gate times: large enough that
+/// each job's epoch loop, not its set-up, takes the wall time.
+const TIMED_SCALE: f64 = 4.0;
+
 /// Eight-plus jobs mixing policies, experiments and a pinned config —
 /// the workload the acceptance criteria are checked against.
-fn build_suite(workers: usize) -> ExperimentSuite {
+fn build_suite(workers: usize, scale: f64) -> ExperimentSuite {
     let mut suite = ExperimentSuite::new().with_workers(workers);
     for (i, policy) in [Policy::Vanilla, Policy::Gts, Policy::Iks, Policy::Smart]
         .into_iter()
         .enumerate()
     {
-        suite.push(spec(&format!("w{i}"), 0.08), policy);
+        suite.push(spec(&format!("w{i}"), scale), policy);
     }
     for i in 0..3 {
-        suite.push(spec(&format!("w{i}"), 0.08), Policy::Smart);
+        suite.push(spec(&format!("w{i}"), scale), Policy::Smart);
     }
     // One job whose config pins its own annealer seed.
-    let pinned = spec("pinned", 0.08).with_policy_config(SmartBalanceConfig {
+    let pinned = spec("pinned", scale).with_policy_config(SmartBalanceConfig {
         anneal_seed: Some(42),
         ..SmartBalanceConfig::default()
     });
@@ -58,7 +66,7 @@ fn fingerprint(report: &smartbalance::SuiteReport) -> Vec<String> {
 
 #[test]
 fn parallel_suite_matches_serial_run_experiment() {
-    let suite = build_suite(4);
+    let suite = build_suite(4, SCALE);
     assert!(suite.jobs().len() >= 8, "acceptance: at least 8 jobs");
     let report = suite.run();
 
@@ -83,8 +91,8 @@ fn rerunning_the_suite_is_bit_identical_and_faster_in_parallel() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    let serial_report = build_suite(1).run();
-    let parallel_report = build_suite(cores).run();
+    let serial_report = build_suite(1, SCALE).run();
+    let parallel_report = build_suite(cores, SCALE).run();
 
     // Determinism: same jobs, different worker counts and scheduling
     // orders, bit-identical measurements.
@@ -93,20 +101,26 @@ fn rerunning_the_suite_is_bit_identical_and_faster_in_parallel() {
     // And a third run with an odd pool size for good measure.
     assert_eq!(
         fingerprint(&serial_report),
-        fingerprint(&build_suite(3).run())
+        fingerprint(&build_suite(3, SCALE).run())
     );
 
-    // Speedup: on a multicore host the 8-job fan-out must beat the
-    // one-worker run on wall-clock.
+    // Speedup: on a multicore host an 8-job fan-out must beat the
+    // one-worker run on wall-clock. The jobs above simulate too little
+    // to time (their wall time is thread start-up), so the gate times
+    // longer runs of the same jobs, whose epoch loop dominates; the
+    // runs above already trained the predictors these jobs share.
     if cores >= 2 {
+        let serial = build_suite(1, TIMED_SCALE).run();
+        let parallel = build_suite(cores, TIMED_SCALE).run();
+        assert_eq!(fingerprint(&serial), fingerprint(&parallel));
         assert!(
-            parallel_report.wall_s < serial_report.wall_s,
+            parallel.wall_s < serial.wall_s,
             "no speedup: {} workers took {:.3}s vs {:.3}s serial",
             cores,
-            parallel_report.wall_s,
-            serial_report.wall_s,
+            parallel.wall_s,
+            serial.wall_s,
         );
-        assert!(parallel_report.speedup() > 1.0);
+        assert!(parallel.speedup() > 1.0);
     }
     assert!(serial_report.throughput_jobs_per_s() > 0.0);
 }
@@ -117,8 +131,8 @@ fn identical_runs_produce_byte_identical_canonical_reports() {
     // no HashMap iteration order may leak into results. Two fresh runs
     // of the same suite must serialize — wall-clock fields aside — to
     // the same bytes, whole report included (job order, gains, traces).
-    let first = build_suite(2).run().canonicalized();
-    let second = build_suite(4).run().canonicalized();
+    let first = build_suite(2, SCALE).run().canonicalized();
+    let second = build_suite(4, SCALE).run().canonicalized();
     assert_eq!(
         serde_json::to_string(&first).expect("serialize"),
         serde_json::to_string(&second).expect("serialize"),
